@@ -1,5 +1,11 @@
 //! The top-down accounting core: consumes retired-instruction events and
 //! charges every stall cycle to one bucket.
+//!
+//! All cycle quantities are unsigned fixed-point: a `u64` count of
+//! 2^-[`SHIFT`] cycles. Every per-event cost is rounded to the nearest
+//! unit once, when the core is built, so charging is exact integer
+//! addition and the running total does not depend on the order in which
+//! a set of costs is charged.
 
 use crate::branch::{Btb, Gshare, ReturnStack};
 use crate::cache::{Cache, CacheGeometry, Tlb};
@@ -7,6 +13,21 @@ use crate::config::UarchConfig;
 use crate::stats::UarchStats;
 use cheri_isa::{BranchKind, EventSink, InstClass, OpClass, RetiredEvent, RetiredInfo};
 use std::collections::VecDeque;
+
+/// Fractional bits of a fixed-point cycle count.
+const SHIFT: u32 = 20;
+/// One cycle in fixed-point units.
+const ONE: u64 = 1 << SHIFT;
+
+/// Converts a cycle cost to fixed-point, rounding to the nearest unit.
+fn fx(cycles: f64) -> u64 {
+    (cycles * ONE as f64).round() as u64
+}
+
+/// Rounds a fixed-point cycle count to the nearest whole cycle.
+fn round_cycles(units: u64) -> u64 {
+    (units + ONE / 2) >> SHIFT
+}
 
 /// Which level of the hierarchy served an access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -17,31 +38,93 @@ enum Served {
     Dram,
 }
 
-/// Floating-point cycle accumulators, one per top-down bucket.
-#[derive(Clone, Copy, Debug, Default)]
+/// Fixed-point cycle accumulators, one per top-down bucket.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Buckets {
-    retire: f64,
-    frontend: f64,
-    pcc: f64,
-    mem_l1: f64,
-    mem_l2: f64,
-    mem_ext: f64,
-    core: f64,
-    sb_stall: f64,
-    badspec: f64,
+    retire: u64,
+    frontend: u64,
+    pcc: u64,
+    mem_l1: u64,
+    mem_l2: u64,
+    mem_ext: u64,
+    core: u64,
+    sb_stall: u64,
+    badspec: u64,
 }
 
-impl Buckets {
-    fn total(&self) -> f64 {
-        self.retire
-            + self.frontend
-            + self.pcc
-            + self.mem_l1
-            + self.mem_l2
-            + self.mem_ext
-            + self.core
-            + self.sb_stall
-            + self.badspec
+/// Every per-event cost of a configuration, in fixed-point units.
+struct Costs {
+    /// One issue slot: `1 / issue_width` cycles.
+    issue: u64,
+    dp: u64,
+    vfp: u64,
+    cap_manip: u64,
+    /// Long-latency ops expose 0.3× their extra latency; indexed by it.
+    long_latency: [u64; 256],
+    /// Instruction refill penalties: fetch-ahead hides 30% of the level
+    /// latency.
+    ifetch_l2: u64,
+    ifetch_llc: u64,
+    ifetch_dram: u64,
+    l2_tlb: u64,
+    walk: u64,
+    /// Pointer-chase serialisation, charged on top of a dependent load.
+    chase: u64,
+    /// Exposed load latency beyond L1: a dependent access pays the level
+    /// latency plus the chase penalty, a streaming one its share of the
+    /// memory-level-parallelism window.
+    l2_dep: u64,
+    l2_stream: u64,
+    llc_dep: u64,
+    llc_stream: u64,
+    /// DRAM latency beyond L1, before queueing; the streaming share is
+    /// divided per event because it includes the queue delay.
+    dram: u64,
+    dram_line: u64,
+    tag_miss: u64,
+    /// Store-buffer occupancy by serving level.
+    store_l1: u64,
+    store_l2: u64,
+    store_llc: u64,
+    store_dram: u64,
+    /// The tag-table write extends a capability store's occupancy.
+    store_cap: u64,
+    mispredict: u64,
+    pcc_stall: u64,
+}
+
+impl Costs {
+    fn new(cfg: &UarchConfig) -> Costs {
+        let mlp = cfg.mlp_streaming as f64;
+        let l2 = (cfg.lat_l2 - cfg.lat_l1) as f64;
+        let llc = (cfg.lat_llc - cfg.lat_l1) as f64;
+        Costs {
+            issue: fx(1.0 / cfg.issue_width as f64),
+            dp: fx(cfg.dp_core_cost),
+            vfp: fx(cfg.vfp_core_cost),
+            cap_manip: fx(cfg.cap_manip_core_cost),
+            long_latency: std::array::from_fn(|extra| fx(extra as f64 * 0.3)),
+            ifetch_l2: fx(cfg.lat_l2 as f64 * 0.7),
+            ifetch_llc: fx(cfg.lat_llc as f64 * 0.7),
+            ifetch_dram: fx(cfg.lat_dram as f64 * 0.7),
+            l2_tlb: fx(cfg.lat_l2_tlb as f64),
+            walk: fx(cfg.tlb_walk_cycles as f64),
+            chase: fx(cfg.chase_l1_penalty),
+            l2_dep: fx(l2 + cfg.chase_l1_penalty),
+            l2_stream: fx(l2 / mlp),
+            llc_dep: fx(llc + cfg.chase_l1_penalty),
+            llc_stream: fx(llc / mlp),
+            dram: fx((cfg.lat_dram - cfg.lat_l1) as f64),
+            dram_line: fx(cfg.dram_line_cycles as f64),
+            tag_miss: fx(cfg.tag_miss_penalty as f64 / mlp),
+            store_l1: fx(1.0),
+            store_l2: fx(3.0),
+            store_llc: fx(8.0),
+            store_dram: fx(20.0),
+            store_cap: fx(1.5),
+            mispredict: fx(cfg.mispredict_penalty as f64),
+            pcc_stall: fx(cfg.pcc_change_stall as f64),
+        }
     }
 }
 
@@ -69,6 +152,7 @@ impl Buckets {
 /// ```
 pub struct TimingCore {
     cfg: UarchConfig,
+    costs: Costs,
     l1i: Cache,
     l1d: Cache,
     l2: Cache,
@@ -80,34 +164,24 @@ pub struct TimingCore {
     btb: Btb,
     ras: ReturnStack,
     tag_cache: Cache,
-    store_buffer: VecDeque<f64>,
-    last_store_completion: f64,
-    cycle: f64,
+    store_buffer: VecDeque<u64>,
+    last_store_completion: u64,
+    // The sum of all buckets, kept as one running total: the core's clock.
+    total: u64,
     buckets: Buckets,
-    dram_next_free: f64,
+    dram_next_free: u64,
     last_fetch_line: u64,
     last_fetch_page: u64,
     prev_was_mul: bool,
-    // `cycles()` as of the end of the previous retire: buckets only
-    // change inside `retire`, so the next event's "cycles before" is the
-    // previous event's "cycles after" — caching it halves the number of
-    // bucket summations on the hot path without changing any value.
-    cycles_after_last_retire: u64,
-    // `1.0 / issue_width`, computed once: the quotient is the same f64
-    // every retire, so dividing up front instead of per event changes
-    // nothing downstream.
-    issue_slot_cost: f64,
     s: UarchStats,
 }
 
-/// Adds `amount` to one bucket and the running cycle clock, exactly as
-/// the old fn-pointer `charge` helper did (same two f64 additions in the
-/// same order), but monomorphised per bucket field.
+/// Adds `amount` fixed-point units to one bucket and the running total.
 macro_rules! charge {
     ($self:ident, $amount:expr, $field:ident) => {{
         let amount = $amount;
         $self.buckets.$field += amount;
-        $self.cycle += amount;
+        $self.total += amount;
     }};
 }
 
@@ -115,6 +189,7 @@ impl TimingCore {
     /// Creates a core in its post-reset state.
     pub fn new(cfg: UarchConfig) -> TimingCore {
         TimingCore {
+            costs: Costs::new(&cfg),
             l1i: Cache::new(cfg.l1i),
             l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
@@ -129,15 +204,13 @@ impl TimingCore {
             // set-associative cache over tag-granule addresses.
             tag_cache: Cache::new(CacheGeometry::new(cfg.tag_cache_bytes.max(1024), 4, 64)),
             store_buffer: VecDeque::with_capacity(cfg.store_buffer_entries as usize + 2),
-            last_store_completion: 0.0,
-            cycle: 0.0,
+            last_store_completion: 0,
+            total: 0,
             buckets: Buckets::default(),
-            dram_next_free: 0.0,
+            dram_next_free: 0,
             last_fetch_line: u64::MAX,
             last_fetch_page: u64::MAX,
             prev_was_mul: false,
-            cycles_after_last_retire: 0,
-            issue_slot_cost: 1.0 / cfg.issue_width as f64,
             cfg,
             s: UarchStats::default(),
         }
@@ -161,16 +234,16 @@ impl TimingCore {
     pub fn snapshot(&self) -> UarchStats {
         let b = self.buckets;
         let mut s = self.s;
-        s.cpu_cycles = b.total().ceil() as u64;
-        s.stall_frontend = (b.frontend + b.pcc).round() as u64;
-        s.stall_backend = (b.mem_l1 + b.mem_l2 + b.mem_ext + b.core + b.sb_stall).round() as u64;
-        s.bound_mem_l1 = b.mem_l1.round() as u64;
-        s.bound_mem_l2 = b.mem_l2.round() as u64;
-        s.bound_mem_ext = b.mem_ext.round() as u64;
-        s.bound_core = (b.core + b.sb_stall).round() as u64;
-        s.badspec_cycles = b.badspec.round() as u64;
-        s.pcc_stall_cycles = b.pcc.round() as u64;
-        s.store_buffer_stalls = b.sb_stall.round() as u64;
+        s.cpu_cycles = self.cycles();
+        s.stall_frontend = round_cycles(b.frontend + b.pcc);
+        s.stall_backend = round_cycles(b.mem_l1 + b.mem_l2 + b.mem_ext + b.core + b.sb_stall);
+        s.bound_mem_l1 = round_cycles(b.mem_l1);
+        s.bound_mem_l2 = round_cycles(b.mem_l2);
+        s.bound_mem_ext = round_cycles(b.mem_ext);
+        s.bound_core = round_cycles(b.core + b.sb_stall);
+        s.badspec_cycles = round_cycles(b.badspec);
+        s.pcc_stall_cycles = round_cycles(b.pcc);
+        s.store_buffer_stalls = round_cycles(b.sb_stall);
         s.l1i_cache = self.l1i.stats().accesses;
         s.l1i_cache_refill = self.l1i.stats().refills;
         s.l1d_cache = self.l1d.stats().accesses;
@@ -186,9 +259,10 @@ impl TimingCore {
         s
     }
 
-    /// Total cycles accounted so far (cheap; no counter materialisation).
+    /// Total cycles accounted so far, rounded up to a whole cycle (cheap;
+    /// no counter materialisation).
     pub fn cycles(&self) -> u64 {
-        self.buckets.total().ceil() as u64
+        (self.total + ONE - 1) >> SHIFT
     }
 
     // ---- Instruction fetch -------------------------------------------------
@@ -201,33 +275,31 @@ impl TimingCore {
         self.last_fetch_line = line;
         if !self.l1i.access(line, false) {
             // Instruction refill through the unified L2 (and below).
-            let served = self.lower_levels(line, false, true);
-            let pen = match served {
-                Served::L2 => self.cfg.lat_l2,
-                Served::Llc => self.cfg.lat_llc,
-                _ => self.cfg.lat_dram,
-            } as f64;
-            // Fetch-ahead hides part of the refill latency.
-            charge!(self, pen * 0.7, frontend);
+            let pen = match self.lower_levels(line, false) {
+                Served::L2 => self.costs.ifetch_l2,
+                Served::Llc => self.costs.ifetch_llc,
+                _ => self.costs.ifetch_dram,
+            };
+            charge!(self, pen, frontend);
         }
         let page = pc >> 12;
         if page != self.last_fetch_page {
             self.last_fetch_page = page;
             if !self.itlb.access(pc) {
                 if self.l2tlb.access(pc) {
-                    charge!(self, self.cfg.lat_l2_tlb as f64, frontend);
+                    charge!(self, self.costs.l2_tlb, frontend);
                 } else {
                     self.s.itlb_walk += 1;
-                    charge!(self, self.cfg.tlb_walk_cycles as f64, frontend);
+                    charge!(self, self.costs.walk, frontend);
                 }
             }
         }
     }
 
     /// Walks L2 → LLC → DRAM after an L1 miss, updating all counters, and
-    /// reports which level served the line. `read` controls LLC read
-    /// counters (the paper only uses the read-side LLC events).
-    fn lower_levels(&mut self, addr: u64, write: bool, _ifetch: bool) -> Served {
+    /// reports which level served the line. Only reads count towards the
+    /// LLC read counters (the paper only uses the read-side LLC events).
+    fn lower_levels(&mut self, addr: u64, write: bool) -> Served {
         if self.l2.access(addr, write) {
             return Served::L2;
         }
@@ -248,10 +320,10 @@ impl TimingCore {
     fn dtlb_lookup(&mut self, addr: u64) {
         if !self.dtlb.access(addr) {
             if self.l2tlb.access(addr) {
-                charge!(self, self.cfg.lat_l2_tlb as f64, mem_l1);
+                charge!(self, self.costs.l2_tlb, mem_l1);
             } else {
                 self.s.dtlb_walk += 1;
-                charge!(self, self.cfg.tlb_walk_cycles as f64, mem_ext);
+                charge!(self, self.costs.walk, mem_ext);
             }
         }
     }
@@ -272,7 +344,7 @@ impl TimingCore {
         if hit {
             return Served::L1;
         }
-        let served = self.lower_levels(addr, write, false);
+        let served = self.lower_levels(addr, write);
         if self.cfg.prefetch_next_line && !dep {
             let next = addr.wrapping_add(self.cfg.l1d.line);
             self.l1d.prefetch(next);
@@ -293,16 +365,14 @@ impl TimingCore {
         let tag_addr = addr >> 7;
         if !self.tag_cache.access(tag_addr, false) {
             self.s.tag_cache_miss += 1;
-            let extra = self.cfg.tag_miss_penalty as f64 / self.cfg.mlp_streaming as f64;
-            charge!(self, extra, mem_ext);
+            charge!(self, self.costs.tag_miss, mem_ext);
         }
     }
 
-    fn dram_queue_delay(&mut self) -> f64 {
-        let start = self.cycle.max(self.dram_next_free);
-        let delay = start - self.cycle;
-        self.dram_next_free = start + self.cfg.dram_line_cycles as f64;
-        delay
+    fn dram_queue_delay(&mut self) -> u64 {
+        let start = self.total.max(self.dram_next_free);
+        self.dram_next_free = start + self.costs.dram_line;
+        start - self.total
     }
 
     fn on_load(&mut self, addr: u64, is_cap: bool, dep: bool) {
@@ -319,38 +389,24 @@ impl TimingCore {
         // Exposed latency: a dependent (pointer-chasing) access pays the
         // full level latency plus the chase penalty; a streaming access
         // amortises it across the memory-level parallelism window. The
-        // common case — a non-dependent L1 hit — charges nothing, so its
-        // (zero) exposed latency is never computed.
+        // common case — a non-dependent L1 hit — charges nothing.
+        let c = &self.costs;
         match served {
             Served::L1 => {
                 if dep {
-                    charge!(self, 0.0 + self.cfg.chase_l1_penalty, mem_l1);
+                    charge!(self, c.chase, mem_l1);
                 }
             }
-            Served::L2 => {
-                let base = (self.cfg.lat_l2 - self.cfg.lat_l1) as f64;
-                let exposed = if dep {
-                    base + self.cfg.chase_l1_penalty
-                } else {
-                    base / self.cfg.mlp_streaming as f64
-                };
-                charge!(self, exposed, mem_l2);
-            }
-            Served::Llc => {
-                let base = (self.cfg.lat_llc - self.cfg.lat_l1) as f64;
-                let exposed = if dep {
-                    base + self.cfg.chase_l1_penalty
-                } else {
-                    base / self.cfg.mlp_streaming as f64
-                };
-                charge!(self, exposed, mem_ext);
-            }
+            Served::L2 => charge!(self, if dep { c.l2_dep } else { c.l2_stream }, mem_l2),
+            Served::Llc => charge!(self, if dep { c.llc_dep } else { c.llc_stream }, mem_ext),
             Served::Dram => {
-                let base = (self.cfg.lat_dram - self.cfg.lat_l1) as f64 + self.dram_queue_delay();
+                let base = self.costs.dram + self.dram_queue_delay();
                 let exposed = if dep {
-                    base + self.cfg.chase_l1_penalty
+                    base + self.costs.chase
                 } else {
-                    base / self.cfg.mlp_streaming as f64
+                    // Truncating division: the quotient is still exact
+                    // integer arithmetic, independent of charge order.
+                    base / u64::from(self.cfg.mlp_streaming)
                 };
                 charge!(self, exposed, mem_ext);
             }
@@ -369,14 +425,13 @@ impl TimingCore {
             self.tag_table_access(addr);
         }
         let mut service = match served {
-            Served::L1 => 1.0,
-            Served::L2 => 3.0,
-            Served::Llc => 8.0,
-            Served::Dram => 20.0,
+            Served::L1 => self.costs.store_l1,
+            Served::L2 => self.costs.store_l2,
+            Served::Llc => self.costs.store_llc,
+            Served::Dram => self.costs.store_dram,
         };
         if is_cap {
-            // The tag-table write extends a capability store's occupancy.
-            service += 1.5;
+            service += self.costs.store_cap;
         }
         let entries = if is_cap && !self.cfg.wide_cap_store_buffer {
             2
@@ -385,7 +440,7 @@ impl TimingCore {
         };
         // Drain completed entries.
         while let Some(&front) = self.store_buffer.front() {
-            if front <= self.cycle {
+            if front <= self.total {
                 self.store_buffer.pop_front();
             } else {
                 break;
@@ -398,12 +453,12 @@ impl TimingCore {
                 .store_buffer
                 .pop_front()
                 .expect("store buffer cannot be empty while over capacity");
-            if t > self.cycle {
-                let stall = t - self.cycle;
+            if t > self.total {
+                let stall = t - self.total;
                 charge!(self, stall, sb_stall);
             }
         }
-        let completion = self.cycle.max(self.last_store_completion) + service;
+        let completion = self.total.max(self.last_store_completion) + service;
         self.last_store_completion = completion;
         for _ in 0..entries {
             self.store_buffer.push_back(completion);
@@ -436,12 +491,12 @@ impl TimingCore {
         };
         if mispredicted {
             self.s.br_mis_pred_retired += 1;
-            charge!(self, self.cfg.mispredict_penalty as f64, badspec);
+            charge!(self, self.costs.mispredict, badspec);
         }
         if pcc {
             self.s.pcc_change_branches += 1;
             if !self.cfg.pcc_aware_branch_predictor {
-                charge!(self, self.cfg.pcc_change_stall as f64, pcc);
+                charge!(self, self.costs.pcc_stall, pcc);
             }
         }
         if taken {
@@ -474,29 +529,23 @@ impl TimingCore {
     /// exactly to CPU_CYCLES and retired counts to INST_RETIRED.
     fn retire_with_class(&mut self, ev: RetiredEvent, opclass: OpClass) {
         debug_assert_eq!(opclass, OpClass::of(ev.pc, &ev.info));
-        // Buckets change only inside this function, so the cached
-        // post-retire reading from the previous event is exactly
-        // `self.cycles()` now.
-        let cycles_before = self.cycles_after_last_retire;
-        debug_assert_eq!(cycles_before, self.cycles());
+        let cycles_before = self.cycles();
         self.s.inst_retired += 1;
         self.s.inst_spec += 1;
         self.fetch(ev.pc);
         // Every instruction consumes one issue slot.
-        charge!(self, self.issue_slot_cost, retire);
+        charge!(self, self.costs.issue, retire);
 
         let mut is_mul = false;
         match ev.info {
             RetiredInfo::Simple(class) => {
                 self.count_class(class);
                 let cost = match class {
-                    InstClass::Dp => self.cfg.dp_core_cost,
-                    InstClass::Vfp | InstClass::Ase => self.cfg.vfp_core_cost,
-                    _ => 0.0,
+                    InstClass::Dp => self.costs.dp,
+                    InstClass::Vfp | InstClass::Ase => self.costs.vfp,
+                    _ => 0,
                 };
-                if cost > 0.0 {
-                    charge!(self, cost, core);
-                }
+                charge!(self, cost, core);
             }
             RetiredInfo::LongLatency { class, extra } => {
                 self.count_class(class);
@@ -504,14 +553,14 @@ impl TimingCore {
                 // Long-latency ops expose a fraction of their latency as
                 // execution-resource pressure (out-of-order execution
                 // overlaps independent long ops).
-                charge!(self, extra as f64 * 0.3, core);
+                charge!(self, self.costs.long_latency[usize::from(extra)], core);
             }
             RetiredInfo::CapManip => {
                 self.count_class(InstClass::Dp);
                 self.s.cap_manip_spec += 1;
                 let fused = self.cfg.cap_madd_fusion && self.prev_was_mul;
                 if !fused {
-                    charge!(self, self.cfg.cap_manip_core_cost, core);
+                    charge!(self, self.costs.cap_manip, core);
                 }
             }
             RetiredInfo::Load {
@@ -534,7 +583,6 @@ impl TimingCore {
         self.prev_was_mul = is_mul;
         let cycles_after = self.cycles();
         self.s.opc_attribute(opclass, cycles_after - cycles_before);
-        self.cycles_after_last_retire = cycles_after;
     }
 }
 
@@ -849,5 +897,118 @@ mod tests {
         );
         assert!(s.dtlb_walk > 0, "16 MiB sweep must walk the page table");
         assert!(s.l1d_tlb_refill > 0);
+    }
+
+    /// Each fixed-point cost next to the f64 cycle value it stands for.
+    fn cost_pairs(cfg: &UarchConfig) -> Vec<(&'static str, u64, f64)> {
+        let c = Costs::new(cfg);
+        let mlp = cfg.mlp_streaming as f64;
+        let l2 = (cfg.lat_l2 - cfg.lat_l1) as f64;
+        let llc = (cfg.lat_llc - cfg.lat_l1) as f64;
+        let mut pairs = vec![
+            ("issue", c.issue, 1.0 / cfg.issue_width as f64),
+            ("dp", c.dp, cfg.dp_core_cost),
+            ("vfp", c.vfp, cfg.vfp_core_cost),
+            ("cap_manip", c.cap_manip, cfg.cap_manip_core_cost),
+            ("ifetch_l2", c.ifetch_l2, cfg.lat_l2 as f64 * 0.7),
+            ("ifetch_llc", c.ifetch_llc, cfg.lat_llc as f64 * 0.7),
+            ("ifetch_dram", c.ifetch_dram, cfg.lat_dram as f64 * 0.7),
+            ("l2_tlb", c.l2_tlb, cfg.lat_l2_tlb as f64),
+            ("walk", c.walk, cfg.tlb_walk_cycles as f64),
+            ("chase", c.chase, cfg.chase_l1_penalty),
+            ("l2_dep", c.l2_dep, l2 + cfg.chase_l1_penalty),
+            ("l2_stream", c.l2_stream, l2 / mlp),
+            ("llc_dep", c.llc_dep, llc + cfg.chase_l1_penalty),
+            ("llc_stream", c.llc_stream, llc / mlp),
+            ("dram", c.dram, (cfg.lat_dram - cfg.lat_l1) as f64),
+            ("dram_line", c.dram_line, cfg.dram_line_cycles as f64),
+            ("tag_miss", c.tag_miss, cfg.tag_miss_penalty as f64 / mlp),
+            ("store_l1", c.store_l1, 1.0),
+            ("store_l2", c.store_l2, 3.0),
+            ("store_llc", c.store_llc, 8.0),
+            ("store_dram", c.store_dram, 20.0),
+            ("store_cap", c.store_cap, 1.5),
+            ("mispredict", c.mispredict, cfg.mispredict_penalty as f64),
+            ("pcc_stall", c.pcc_stall, cfg.pcc_change_stall as f64),
+        ];
+        pairs.extend(
+            c.long_latency
+                .iter()
+                .enumerate()
+                .map(|(extra, &units)| ("long_latency", units, extra as f64 * 0.3)),
+        );
+        pairs
+    }
+
+    #[test]
+    fn fixed_point_costs_lie_within_half_a_unit() {
+        for cfg in [
+            UarchConfig::neoverse_n1_morello(),
+            UarchConfig::projected_cheri_native(),
+        ] {
+            for (name, units, cycles) in cost_pairs(&cfg) {
+                let err = (units as f64 - cycles * ONE as f64).abs();
+                assert!(err <= 0.5, "{name}: {units} units for {cycles} cycles");
+            }
+        }
+    }
+
+    #[test]
+    fn cycles_round_up_and_stalls_round_to_nearest() {
+        let mut core = TimingCore::new(UarchConfig::neoverse_n1_morello());
+        assert_eq!(core.cycles(), 0);
+        charge!(core, 1, badspec);
+        assert_eq!(core.cycles(), 1);
+        assert_eq!(core.snapshot().badspec_cycles, 0);
+        charge!(core, ONE / 2 - 1, badspec);
+        assert_eq!(core.snapshot().badspec_cycles, 1);
+        charge!(core, ONE / 2, badspec);
+        assert_eq!(core.cycles(), 1);
+        charge!(core, 1, badspec);
+        assert_eq!(core.cycles(), 2);
+    }
+
+    /// Charges `(bucket, amount)` pairs into a fresh core.
+    fn charge_all(charges: impl Iterator<Item = (u8, u64)>) -> TimingCore {
+        let mut core = TimingCore::new(UarchConfig::neoverse_n1_morello());
+        for (bucket, amount) in charges {
+            match bucket {
+                0 => charge!(core, amount, retire),
+                1 => charge!(core, amount, frontend),
+                2 => charge!(core, amount, pcc),
+                3 => charge!(core, amount, mem_l1),
+                4 => charge!(core, amount, mem_l2),
+                5 => charge!(core, amount, mem_ext),
+                6 => charge!(core, amount, core),
+                7 => charge!(core, amount, sb_stall),
+                _ => charge!(core, amount, badspec),
+            }
+        }
+        core
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Charging is exact: one multiset of costs charged in two orders
+        /// gives identical buckets and identical cycles.
+        fn charge_order_does_not_change_buckets_or_cycles(
+            charges in proptest::collection::vec(
+                (0u8..9, 0u64..(256 << SHIFT), proptest::prelude::any::<u32>()),
+                1..500,
+            )
+        ) {
+            let forward = charge_all(charges.iter().map(|&(b, a, _)| (b, a)));
+            let mut shuffled = charges.clone();
+            shuffled.sort_by_key(|&(_, _, key)| key);
+            let reordered = charge_all(shuffled.iter().map(|&(b, a, _)| (b, a)));
+            let b = forward.buckets;
+            let sum = b.retire + b.frontend + b.pcc + b.mem_l1 + b.mem_l2 + b.mem_ext
+                + b.core + b.sb_stall + b.badspec;
+            proptest::prop_assert_eq!(forward.total, sum);
+            proptest::prop_assert_eq!(forward.buckets, reordered.buckets);
+            proptest::prop_assert_eq!(forward.cycles(), reordered.cycles());
+            proptest::prop_assert_eq!(forward.snapshot(), reordered.snapshot());
+        }
     }
 }
