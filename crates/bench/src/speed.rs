@@ -117,7 +117,8 @@ pub struct DispatchAbi {
     pub blocks: u64,
     /// Packed interior micro-ops (fast-path fn-pointer dispatched).
     pub interior_ops: u64,
-    /// Ops kept as terminators (inline-branched or slow-path stepped).
+    /// Ops kept as terminators: branches run inline by the block loop,
+    /// the rest by the engine's per-op `step`.
     pub terminators: u64,
     /// Blocks that fall through to the next block without a terminator.
     pub fallthrough_blocks: u64,

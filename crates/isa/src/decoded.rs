@@ -11,9 +11,7 @@
 //! enum without touching the original [`Inst`] stream.
 
 use crate::classify::{ClassCounts, OpClass};
-use crate::inst::{
-    CapOp2Kind, CapOpKind, Cond, FloatOp, Inst, IntOp, LoadKind, MemSize, Operand, VecKind,
-};
+use crate::inst::{CapOp2Kind, CapOpKind, Cond, FloatOp, Inst, IntOp, LoadKind, Operand, VecKind};
 use crate::program::{ModuleId, Program};
 
 /// A call's argument registers: a window into [`DecodedProgram::args`].
@@ -129,11 +127,11 @@ pub(crate) enum Op {
         addr: u64,
         off: i64,
     },
+    /// `bytes` is the access width (16 for capabilities).
     Load {
         dst: u16,
         base: u16,
         off: Off,
-        size: MemSize,
         kind: LoadKind,
         bytes: u8,
     },
@@ -141,7 +139,6 @@ pub(crate) enum Op {
         src: u16,
         base: u16,
         off: Off,
-        size: MemSize,
         kind: LoadKind,
         bytes: u8,
     },
@@ -197,6 +194,10 @@ pub(crate) enum Op {
     Region {
         id: u32,
     },
+    /// The sentinel decode appends after every function's last op:
+    /// control that moves past the end lands here and the run fails
+    /// with `BadProgram`, exactly as in the reference.
+    FellOff,
 }
 
 /// One decoded function: its op array plus the frame/layout facts the
@@ -369,7 +370,6 @@ impl DecodedProgram {
                             dst: *dst,
                             base: *base,
                             off: decode_off(*off, *scaled),
-                            size: *size,
                             kind: *kind,
                             bytes,
                         }
@@ -390,7 +390,6 @@ impl DecodedProgram {
                             src: *src,
                             base: *base,
                             off: decode_off(*off, *scaled),
-                            size: *size,
                             kind: *kind,
                             bytes,
                         }
@@ -442,6 +441,7 @@ impl DecodedProgram {
                     Inst::Halt { code } => Op::Halt { code: *code },
                     Inst::Region { id } => Op::Region { id: *id },
                 })
+                .chain(std::iter::once(Op::FellOff))
                 .collect();
             let (micros, blocks, block_idx, block_classes) = build_blocks(&ops, base_pc);
             let block_base = total_blocks;
@@ -485,11 +485,14 @@ fn decode_off(off: Operand, scaled: bool) -> Off {
 // and pack into a flat [`MicroOp`]. A block ends at a *terminator*
 // (branch, call, return, allocator intrinsic, halt, region marker,
 // `BadGeneric`, or the rare op whose operands do not fit the packed
-// form); the terminator stays an `Op` and is executed by the per-op
-// slow path. Interiors dispatch through a per-ABI fn-pointer table
-// indexed by [`MicroOp::kind`], with the per-instruction bookkeeping
-// (fuel check, retired count, `ClassCounts`) hoisted to block
-// boundaries via the pre-summed [`DecodedFunc::block_classes`].
+// form); the terminator stays an `Op`. The engine's block loop runs
+// `Jump`/`CondBr` inline and every other terminator through
+// `FastMachine::step`. Interiors dispatch through a per-ABI fn-pointer
+// table indexed by [`MicroOp::kind`], with the per-instruction
+// bookkeeping (fuel check, retired count, `ClassCounts`) hoisted to
+// block boundaries via the pre-summed [`DecodedFunc::block_classes`].
+// Each function's trailing [`Op::FellOff`] sentinel forms a block of
+// its own, so control past the last op needs no bounds check.
 
 /// One packed interior micro-op: 32 bytes, flat fields, no nested
 /// enums. `kind` indexes the dispatch table; the other fields are
@@ -810,7 +813,7 @@ fn pack(op: &Op, pc: u64) -> Option<(MicroOp, OpClass)> {
         }
         Op::LoadCapTable { dst, addr, off } => {
             // The post-increment must fit `aux`; a wider one demotes
-            // the op to a terminator (slow-path executed, still exact).
+            // the op to a terminator, which `FastMachine::step` runs.
             let off32 = i32::try_from(off).ok()?;
             mo.kind = mk::LOAD_CT;
             mo.dst = dst;
@@ -824,7 +827,6 @@ fn pack(op: &Op, pc: u64) -> Option<(MicroOp, OpClass)> {
             off,
             kind,
             bytes,
-            ..
         } => {
             let col = match kind {
                 LoadKind::Int => match bytes {
@@ -852,7 +854,6 @@ fn pack(op: &Op, pc: u64) -> Option<(MicroOp, OpClass)> {
             off,
             kind,
             bytes,
-            ..
         } => {
             let col = match kind {
                 LoadKind::Int => match bytes {
@@ -921,7 +922,7 @@ fn pack(op: &Op, pc: u64) -> Option<(MicroOp, OpClass)> {
             OpClass::CapManip
         }
         // Terminators: control transfers, runtime intrinsics, region
-        // markers, halt, and the lowering-reject sentinel.
+        // markers, halt, and the lowering-reject and fall-off sentinels.
         Op::Jump { .. }
         | Op::CondBr { .. }
         | Op::Call { .. }
@@ -931,7 +932,8 @@ fn pack(op: &Op, pc: u64) -> Option<(MicroOp, OpClass)> {
         | Op::Free { .. }
         | Op::Halt { .. }
         | Op::Region { .. }
-        | Op::BadGeneric => return None,
+        | Op::BadGeneric
+        | Op::FellOff => return None,
     };
     Some((mo, class))
 }
@@ -956,9 +958,11 @@ fn pack_off(mo: &mut MicroOp, col: u8, off: Off) {
 }
 
 /// Partitions one function into superblocks. Leaders are ip 0, every
-/// in-function branch target, and the op after every terminator; blocks
-/// run from a leader to the next terminator (inclusive, as `term`) or
-/// fall through at the next leader ([`NO_TERM`]).
+/// in-function branch target, the op after every terminator, and the
+/// trailing [`Op::FellOff`] sentinel; blocks run from a leader to the
+/// next terminator (inclusive, as `term`) or fall through at the next
+/// leader ([`NO_TERM`]). The sentinel is always the last block, with no
+/// interiors.
 fn build_blocks(
     ops: &[Op],
     base_pc: u64,
@@ -969,16 +973,15 @@ fn build_blocks(
         .enumerate()
         .map(|(ip, op)| pack(op, base_pc + ip as u64 * 4))
         .collect();
-    // `leader` has one extra slot so a branch target of `len` (or a
-    // terminator as last op) needs no bounds special-casing.
+    // `leader` has one extra slot so the sentinel, itself a terminator,
+    // needs no bounds special-casing.
     let mut leader = vec![false; len + 1];
-    if len > 0 {
-        leader[0] = true;
-    }
+    leader[0] = true;
     for (ip, op) in ops.iter().enumerate() {
         match *op {
             Op::Jump { t_ip, .. } => leader[t_ip as usize] = true,
             Op::CondBr { t_ip, .. } => leader[t_ip as usize] = true,
+            Op::FellOff => leader[ip] = true,
             _ => {}
         }
         if packed[ip].is_none() {
@@ -1049,7 +1052,8 @@ pub struct SuperblockStats {
     pub blocks: u64,
     /// Total packed interior micro-ops (fast-path dispatched).
     pub interior_ops: u64,
-    /// Ops kept as terminators (slow-path stepped).
+    /// Ops kept as terminators: `Jump`/`CondBr`, run inline by the
+    /// block loop, and every op the engine's `step` runs.
     pub terminators: u64,
     /// Blocks that fall through without a terminator.
     pub fallthrough_blocks: u64,
@@ -1071,7 +1075,9 @@ pub fn superblock_stats(prog: &Program) -> SuperblockStats {
         ..SuperblockStats::default()
     };
     for f in dec.funcs.iter() {
-        for b in f.blocks.iter() {
+        // The trailing fall-off sentinel block is not program code.
+        let (_sentinel, blocks) = f.blocks.split_last().expect("sentinel block");
+        for b in blocks {
             s.blocks += 1;
             s.interior_ops += u64::from(b.n);
             if b.term == NO_TERM {

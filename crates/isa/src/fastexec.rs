@@ -7,17 +7,20 @@
 //! per-instruction bookkeeping of the reference loop — fuel check,
 //! retired count, `ClassCounts` accumulation, and (for sinks that opt
 //! in) the timing-core retire hop — happens once per block using the
-//! pre-summed [`Superblock`] totals. Terminators (branches, calls,
-//! allocator intrinsics, region markers) and the rare unpackable op run
-//! through [`FastMachine::step`], the original per-op `match`, which is
-//! also the *slow path* the engine re-enters for the remainder of a run
-//! when a block's fuel margin fails — so the fuel-exhaustion point is
-//! bit-exact. Fault-injection polls never run here at all: an armed
-//! injector routes the whole run to the reference engine, so the
-//! `active()` checks are compiled out of the hot path entirely.
-//! Run state (registers, taints, frames, event scratch) lives in a
-//! [`RunArena`] recycled through a thread-local pool, so steady-state
-//! runs allocate nothing per run.
+//! pre-summed [`Superblock`] totals. The handler table is the engine's
+//! only implementation of interior ops: when fuel would die inside a
+//! block, the loop runs just the affordable prefix of that block
+//! through the same table, so the exhaustion point is bit-exact.
+//! `Jump`/`CondBr` terminators run inline in the block loop; the other
+//! terminators (calls, returns, allocator intrinsics, halt, region
+//! markers, the reject sentinels) and the one op `pack` demotes — a
+//! captable load whose offset does not fit the packed form — run
+//! through [`FastMachine::step`]. Fault-injection polls never run here
+//! at all: an armed injector routes the whole run to the reference
+//! engine, so the `active()` checks are compiled out of the hot path
+//! entirely. Run state (registers, taints, frames, event scratch) lives
+//! in a [`RunArena`] recycled through a thread-local pool, so
+//! steady-state runs allocate nothing per run.
 //!
 //! Equivalence contract: for any program and sink, this engine produces
 //! the *same event stream* (order and payload), the same architectural
@@ -29,13 +32,10 @@
 //! pre-computed class against [`OpClass::of`] in debug builds.
 
 use crate::classify::{ClassCounts, OpClass};
-use crate::decoded::{mk, ArgsRef, DecodedFunc, DecodedProgram, MicroOp, Off, Op, NO_TERM};
-use crate::inst::{
-    BranchKind, CapOp2Kind, CapOpKind, Cond, FloatOp, InstClass, IntOp, LoadKind, MemSize, Operand,
-    VecKind,
-};
+use crate::decoded::{mk, ArgsRef, DecodedFunc, DecodedProgram, MicroOp, Op, NO_TERM};
+use crate::inst::{BranchKind, FloatOp, InstClass, IntOp, Operand};
 use crate::interp::{
-    eval_float_op, eval_int_op, EventSink, FaultInjector, InterpConfig, InterpError,
+    eval_float_op, eval_int_op, fell_off_end, EventSink, FaultInjector, InterpConfig, InterpError,
     RecoveryPolicy, RetiredEvent, RetiredInfo, RunResult,
 };
 use crate::lower::{RT_FREE_PC, RT_MALLOC_PC, RT_SWEEP_PC, STACK_SIZE};
@@ -341,14 +341,6 @@ impl<'p> FastMachine<'p> {
     }
 
     #[inline]
-    fn operand_taint(&self, rb: usize, op: Operand) -> u64 {
-        match op {
-            Operand::Reg(r) => self.taints[rb + r as usize],
-            Operand::Imm(_) => 0,
-        }
-    }
-
-    #[inline]
     fn cap_fault(&self, fault: CapFault, pc: u64, fi: usize) -> InterpError {
         InterpError::Fault {
             fault,
@@ -357,39 +349,10 @@ impl<'p> FastMachine<'p> {
         }
     }
 
-    /// Resolves a memory operand to (effective address, authorising cap).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn resolve(
-        &self,
-        rb: usize,
-        fi: usize,
-        base: u16,
-        off: i64,
-        size: u64,
-        write: bool,
-        cap_access: bool,
-        pc: u64,
-    ) -> Result<(u64, Option<Capability>), InterpError> {
-        if self.cap_abi {
-            let c = self.as_cap(rb + base as usize, pc)?;
-            let addr = c.address().wrapping_add(off as u64);
-            let mut req = if write { Perms::STORE } else { Perms::LOAD };
-            if cap_access && write {
-                req = req | Perms::STORE_CAP;
-            }
-            c.check_access(addr, size, req)
-                .map_err(|fault| self.cap_fault(fault, pc, fi))?;
-            Ok((addr, Some(c)))
-        } else {
-            let b = self.as_int(rb + base as usize, pc)?;
-            Ok((b.wrapping_add(off as u64), None))
-        }
-    }
-
-    /// `resolve` specialised on the ABI at compile time for the
-    /// handler table: the `cap_abi` test disappears, and the frame
-    /// base/function index come from the block-loop-synced fields.
+    /// Resolves a memory operand to (effective address, authorising
+    /// cap) for the memory handlers. Specialised on the ABI at compile
+    /// time, so the `cap_abi` test disappears; the frame base and
+    /// function index come from the block-loop-synced fields.
     #[inline]
     fn resolve_c<const CAP: bool>(
         &self,
@@ -587,10 +550,7 @@ impl<'p> FastMachine<'p> {
         }
         // The entry frame: no call-site branch event, return address 0.
         self.enter_frame(sink, entry, None, None, 0, None, 0)?;
-        let mut fi = entry as usize;
-        let mut ip = 0usize;
-        let mut rb = 0usize;
-        self.exec_blocks(sink, &mut fi, &mut ip, &mut rb)?;
+        self.exec_blocks(sink, entry as usize)?;
         // Fold the deferred per-block execution counts into the class
         // totals. Addition is commutative, so the fold is
         // order-insensitive and exactly matches per-op accumulation;
@@ -614,69 +574,63 @@ impl<'p> FastMachine<'p> {
         })
     }
 
-    /// The direct-threaded superblock loop.
+    /// The direct-threaded superblock loop, starting at op 0 of the
+    /// entry function `entry` (whose frame base is 0).
     ///
     /// Invariant (established by [`crate::decoded::build_blocks`] and
-    /// every control transfer in [`FastMachine::step`]): `*ip` is
-    /// always a block leader. Each iteration runs one block: a single
-    /// up-front fuel-margin check covers every interior op (exactly the
-    /// per-op checks of the reference — `retired + n <= max` iff all
-    /// `n` per-op checks pass), then the interiors dispatch through the
-    /// per-ABI fn-pointer table with no discriminant match and no
-    /// per-op bookkeeping, then `retired` absorbs the block's op count,
-    /// the block's execution counter bumps (its pre-summed classes fold
-    /// in at run end), buffered events flush, and finally the
-    /// terminator (if any) runs through [`FastMachine::step`] under the
-    /// reference's own fuel check. If the margin check fails — fuel
-    /// would die *inside* the block — the remainder of the run is
-    /// delegated to [`FastMachine::exec_slow`] so the exhaustion point
-    /// (and any event before it) is bit-exact.
-    fn exec_blocks<S: EventSink>(
-        &mut self,
-        sink: &mut S,
-        fi: &mut usize,
-        ip: &mut usize,
-        rb: &mut usize,
-    ) -> Result<(), InterpError> {
+    /// every control transfer below and in [`FastMachine::step`]): `ip`
+    /// is always a block leader. Each iteration runs one block: a
+    /// single up-front fuel-margin check covers every interior op
+    /// (exactly the per-op checks of the reference — `retired + n <=
+    /// max` iff all `n` per-op checks pass), then the interiors
+    /// dispatch through the per-ABI fn-pointer table with no
+    /// discriminant match and no per-op bookkeeping, then `retired`
+    /// absorbs the block's op count, the block's execution counter
+    /// bumps (its pre-summed classes fold in at run end), buffered
+    /// events flush, and finally the terminator (if any) runs under the
+    /// reference's own fuel check — `Jump`/`CondBr` inline here, every
+    /// other terminator through [`FastMachine::step`].
+    ///
+    /// If the margin check fails, fuel dies inside the block: only the
+    /// first `max - retired` interiors run, through the same table.
+    /// Each interior retires exactly one event, so that prefix is
+    /// exactly what the reference retires before its cutoff, and the
+    /// run ends with `FuelExhausted` (a failed run reports no class
+    /// counts, so the block's execution counter is left alone).
+    fn exec_blocks<S: EventSink>(&mut self, sink: &mut S, entry: usize) -> Result<(), InterpError> {
         let dec = self.dec;
         let table = handler_table::<S>(self.cap_abi);
         let max = self.cfg.max_insts;
-        // All loop state lives in true locals (the seed engine's layout
-        // — `&mut` params would force memory traffic every iteration);
-        // the params sync only around `step`/`exec_slow`, which can
-        // change them. `fun`/`bidx` chain block-to-block without
-        // touching `block_idx`: fallthrough and not-taken paths are the
-        // next block in start-ip order, taken branches use the
-        // pre-resolved `t_blk`, and only the general `step` path
-        // re-derives them.
-        let mut lfi = *fi;
-        let mut lip = *ip;
-        let mut lrb = *rb;
-        let mut fun: &DecodedFunc = &dec.funcs[lfi];
-        let mut bidx = fun.block_idx[lip] as usize;
+        // `fun`/`bidx` chain block-to-block without touching
+        // `block_idx`: fallthrough and not-taken paths are the next
+        // block in start-ip order, taken branches use the pre-resolved
+        // `t_blk`, and only the `step` path re-derives them.
+        let mut fi = entry;
+        let mut ip = 0usize;
+        let mut rb = 0usize;
+        let mut fun: &DecodedFunc = &dec.funcs[fi];
+        let mut bidx = fun.block_idx[ip] as usize;
         while self.exit.is_none() {
             let blk = &fun.blocks[bidx];
             debug_assert_eq!(
-                blk.start_ip as usize, lip,
+                blk.start_ip as usize, ip,
                 "control transfer into a superblock interior"
             );
             let n = u64::from(blk.n);
             if n > 0 {
-                if self.retired.saturating_add(n) > max {
-                    *fi = lfi;
-                    *ip = lip;
-                    *rb = lrb;
-                    return self.exec_slow(sink, fi, ip, rb);
-                }
-                self.rb = lrb;
-                self.fi = lfi;
+                self.rb = rb;
+                self.fi = fi;
                 let micros = &fun.micros[blk.first as usize..(blk.first + blk.n) as usize];
-                for mo in micros {
-                    if let Ctl::Die = table[mo.kind as usize](self, sink, mo) {
-                        self.flush_events(sink);
-                        return Err(self.err.take().expect("handler died without an error"));
-                    }
+                if self.retired.saturating_add(n) > max {
+                    let r = max.saturating_sub(self.retired);
+                    self.run_micros(sink, &table, &micros[..r as usize])?;
+                    self.retired += r;
+                    self.flush_events(sink);
+                    return Err(InterpError::FuelExhausted {
+                        retired: self.retired,
+                    });
                 }
+                self.run_micros(sink, &table, micros)?;
                 self.retired += n;
                 // Deferred class accounting: one counter bump here, the
                 // pre-summed per-block classes fold in at run end.
@@ -687,89 +641,94 @@ impl<'p> FastMachine<'p> {
                 // Fallthrough into the next block (its entry re-checks
                 // fuel), so no terminator work here. Blocks tile the
                 // function in start-ip order, so it is `bidx + 1`.
-                lip += blk.n as usize;
+                ip += blk.n as usize;
                 bidx += 1;
-            } else {
-                lip = blk.term as usize;
-                if self.retired >= max {
-                    return Err(InterpError::FuelExhausted {
-                        retired: self.retired,
-                    });
+                continue;
+            }
+            ip = blk.term as usize;
+            if self.retired >= max {
+                return Err(InterpError::FuelExhausted {
+                    retired: self.retired,
+                });
+            }
+            let pc = fun.base_pc + u64::from(blk.term) * 4;
+            match fun.ops[ip] {
+                Op::Jump { t_ip, t_pc } => {
+                    femit!(
+                        self,
+                        sink,
+                        pc,
+                        OpClass::Branch,
+                        RetiredInfo::Branch {
+                            kind: BranchKind::Immediate,
+                            taken: true,
+                            target: t_pc,
+                            pcc_change: false,
+                        }
+                    );
+                    ip = t_ip as usize;
+                    bidx = blk.t_blk as usize;
                 }
-                // In-loop fast paths for the two hottest terminators;
-                // everything else (calls, returns, intrinsics, markers)
-                // runs the general per-op step. Bodies mirror the
-                // `step` arms exactly.
-                match fun.ops[blk.term as usize] {
-                    Op::Jump { t_ip, t_pc } => {
-                        let pc = fun.base_pc + u64::from(blk.term) * 4;
-                        femit!(
-                            self,
-                            sink,
-                            pc,
-                            OpClass::Branch,
-                            RetiredInfo::Branch {
-                                kind: BranchKind::Immediate,
-                                taken: true,
-                                target: t_pc,
-                                pcc_change: false,
-                            }
-                        );
-                        lip = t_ip as usize;
+                Op::CondBr {
+                    cond,
+                    a,
+                    b,
+                    t_ip,
+                    t_pc,
+                } => {
+                    let av = self.as_int(rb + a as usize, pc)?;
+                    let bv = self.operand_int(rb, b, pc)?;
+                    let taken = cond.eval(av, bv);
+                    femit!(
+                        self,
+                        sink,
+                        pc,
+                        OpClass::Branch,
+                        RetiredInfo::Branch {
+                            kind: BranchKind::Immediate,
+                            taken,
+                            target: t_pc,
+                            pcc_change: false,
+                        }
+                    );
+                    if taken {
+                        ip = t_ip as usize;
                         bidx = blk.t_blk as usize;
+                    } else {
+                        ip += 1;
+                        bidx += 1;
                     }
-                    Op::CondBr {
-                        cond,
-                        a,
-                        b,
-                        t_ip,
-                        t_pc,
-                    } => {
-                        let pc = fun.base_pc + u64::from(blk.term) * 4;
-                        let av = self.as_int(lrb + a as usize, pc)?;
-                        let bv = self.operand_int(lrb, b, pc)?;
-                        let taken = cond.eval(av, bv);
-                        femit!(
-                            self,
-                            sink,
-                            pc,
-                            OpClass::Branch,
-                            RetiredInfo::Branch {
-                                kind: BranchKind::Immediate,
-                                taken,
-                                target: t_pc,
-                                pcc_change: false,
-                            }
-                        );
-                        if taken {
-                            lip = t_ip as usize;
-                            bidx = blk.t_blk as usize;
-                        } else {
-                            lip = blk.term as usize + 1;
-                            bidx += 1;
-                        }
-                    }
-                    _ => {
-                        *fi = lfi;
-                        *ip = lip;
-                        *rb = lrb;
-                        self.step(sink, fi, ip, rb)?;
-                        lfi = *fi;
-                        lip = *ip;
-                        lrb = *rb;
-                        // On halt `lip` may point past the function;
-                        // the loop exits without another block lookup.
-                        if self.exit.is_none() {
-                            fun = &dec.funcs[lfi];
-                            bidx = fun.block_idx[lip] as usize;
-                        }
+                }
+                op => {
+                    (fi, ip, rb) = self.step(sink, op, pc, fi, ip, rb)?;
+                    // On halt the loop exits without another block
+                    // lookup.
+                    if self.exit.is_none() {
+                        fun = &dec.funcs[fi];
+                        bidx = fun.block_idx[ip] as usize;
                     }
                 }
             }
         }
-        *fi = lfi;
-        *ip = lip;
-        *rb = lrb;
+        Ok(())
+    }
+
+    /// Dispatches `micros` through the handler table. A dying handler
+    /// flushes the events retired before it and returns its parked
+    /// error.
+    #[inline(always)]
+    fn run_micros<S: EventSink>(
+        &mut self,
+        sink: &mut S,
+        table: &[Handler<S>; 256],
+        micros: &[MicroOp],
+    ) -> Result<(), InterpError> {
+        for mo in micros {
+            if let Ctl::Die = table[mo.kind as usize](self, sink, mo) {
+                self.flush_events(sink);
+                return Err(self.err.take().expect("handler died without an error"));
+            }
+        }
         Ok(())
     }
 
@@ -784,514 +743,27 @@ impl<'p> FastMachine<'p> {
         }
     }
 
-    /// The reference-shaped per-op loop: fuel check before every op,
-    /// one [`FastMachine::step`] per iteration. The block engine
-    /// delegates the remainder of a run here when fuel would die inside
-    /// a block, so `FuelExhausted { retired }` carries the exact count
-    /// the reference would report.
-    #[cold]
-    fn exec_slow<S: EventSink>(
-        &mut self,
-        sink: &mut S,
-        fi: &mut usize,
-        ip: &mut usize,
-        rb: &mut usize,
-    ) -> Result<(), InterpError> {
-        while self.exit.is_none() {
-            if self.retired >= self.cfg.max_insts {
-                return Err(InterpError::FuelExhausted {
-                    retired: self.retired,
-                });
-            }
-            self.step(sink, fi, ip, rb)?;
-        }
-        Ok(())
-    }
-
-    /// Executes exactly one op — the original per-op engine, kept
-    /// verbatim. The block loop routes terminators (and demoted
-    /// interiors) here; `exec_slow` runs everything here. Control state
-    /// lives behind `&mut` so both callers observe transfers. Inlined
-    /// so the block loop's call/return terminators don't pay an
-    /// outlined call with its loop-state spills.
+    /// Executes terminator `op` at `pc` (op `ip` of function `fi`, frame
+    /// base `rb`) and returns the next `(fi, ip, rb)`. Only terminators
+    /// the block loop does not run inline reach here — calls, returns,
+    /// allocator intrinsics, halt, region markers, the two reject
+    /// sentinels, and the one demoted interior, a captable load whose
+    /// offset does not fit the packed form. Every op `pack` accepts is
+    /// executed by the handler table instead. Inlined so call/return
+    /// terminators don't pay an outlined call with its loop-state
+    /// spills.
     #[inline]
     fn step<S: EventSink>(
         &mut self,
         sink: &mut S,
-        fi_r: &mut usize,
-        ip_r: &mut usize,
-        rb_r: &mut usize,
-    ) -> Result<(), InterpError> {
+        op: Op,
+        pc: u64,
+        fi: usize,
+        ip: usize,
+        rb: usize,
+    ) -> Result<(usize, usize, usize), InterpError> {
         let dec = self.dec;
-        let mut fi = *fi_r;
-        let mut ip = *ip_r;
-        let mut rb = *rb_r;
-        let fun: &DecodedFunc = &dec.funcs[fi];
-        debug_assert!(ip < fun.ops.len(), "fell off function {fi}");
-        let pc = fun.base_pc + (ip as u64) * 4;
-        match fun.ops[ip] {
-            Op::MovImm { dst, imm } => {
-                self.regs[rb + dst as usize] = Value::Int(imm);
-                self.taints[rb + dst as usize] = 0;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Dp)
-                );
-                ip += 1;
-            }
-            Op::MovF64 { dst, imm } => {
-                self.regs[rb + dst as usize] = Value::F64(imm);
-                self.taints[rb + dst as usize] = 0;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Dp)
-                );
-                ip += 1;
-            }
-            Op::Mov { dst, src } => {
-                self.regs[rb + dst as usize] = self.regs[rb + src as usize];
-                self.taints[rb + dst as usize] = self.taints[rb + src as usize];
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Dp)
-                );
-                ip += 1;
-            }
-            Op::IntAlu { op, dst, a, b, ll } => {
-                let av = self.as_int(rb + a as usize, pc)?;
-                let bv = self.operand_int(rb, b, pc)?;
-                let r = eval_int_op(op, av, bv);
-                let t = self.taints[rb + a as usize].max(self.operand_taint(rb, b));
-                self.regs[rb + dst as usize] = Value::Int(r);
-                self.taints[rb + dst as usize] = t;
-                let info = if ll == 0 {
-                    RetiredInfo::Simple(InstClass::Dp)
-                } else {
-                    RetiredInfo::LongLatency {
-                        class: InstClass::Dp,
-                        extra: ll,
-                    }
-                };
-                femit!(self, sink, pc, OpClass::IntAlu, info);
-                ip += 1;
-            }
-            Op::Madd { dst, a, b, c } => {
-                let r = self
-                    .as_int(rb + a as usize, pc)?
-                    .wrapping_mul(self.as_int(rb + b as usize, pc)?)
-                    .wrapping_add(self.as_int(rb + c as usize, pc)?);
-                let t = self.taints[rb + a as usize]
-                    .max(self.taints[rb + b as usize])
-                    .max(self.taints[rb + c as usize]);
-                self.regs[rb + dst as usize] = Value::Int(r);
-                self.taints[rb + dst as usize] = t;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::LongLatency {
-                        class: InstClass::Dp,
-                        extra: 1,
-                    }
-                );
-                ip += 1;
-            }
-            Op::FloatAlu { op, dst, a, b, ll } => {
-                let r = eval_float_op(
-                    op,
-                    self.as_f64(rb + a as usize, pc)?,
-                    self.as_f64(rb + b as usize, pc)?,
-                );
-                self.regs[rb + dst as usize] = Value::F64(r);
-                self.taints[rb + dst as usize] = 0;
-                let info = if ll == 0 {
-                    RetiredInfo::Simple(InstClass::Vfp)
-                } else {
-                    RetiredInfo::LongLatency {
-                        class: InstClass::Vfp,
-                        extra: ll,
-                    }
-                };
-                femit!(self, sink, pc, OpClass::IntAlu, info);
-                ip += 1;
-            }
-            Op::FMadd { dst, a, b, c } => {
-                let r = self.as_f64(rb + a as usize, pc)?.mul_add(
-                    self.as_f64(rb + b as usize, pc)?,
-                    self.as_f64(rb + c as usize, pc)?,
-                );
-                self.regs[rb + dst as usize] = Value::F64(r);
-                self.taints[rb + dst as usize] = 0;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Vfp)
-                );
-                ip += 1;
-            }
-            Op::FCmp { cond, dst, a, b } => {
-                let av = self.as_f64(rb + a as usize, pc)?;
-                let bv = self.as_f64(rb + b as usize, pc)?;
-                let r = match cond {
-                    Cond::Eq => av == bv,
-                    Cond::Ne => av != bv,
-                    Cond::Ltu | Cond::Lts => av < bv,
-                    Cond::Leu => av <= bv,
-                    Cond::Gtu | Cond::Gts => av > bv,
-                    Cond::Geu => av >= bv,
-                };
-                self.regs[rb + dst as usize] = Value::Int(u64::from(r));
-                self.taints[rb + dst as usize] = 0;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Vfp)
-                );
-                ip += 1;
-            }
-            Op::Vec { op, dst, a, b } => {
-                match op {
-                    VecKind::VAdd => {
-                        let r =
-                            self.as_f64(rb + a as usize, pc)? + self.as_f64(rb + b as usize, pc)?;
-                        self.regs[rb + dst as usize] = Value::F64(r);
-                    }
-                    VecKind::VMul => {
-                        let r =
-                            self.as_f64(rb + a as usize, pc)? * self.as_f64(rb + b as usize, pc)?;
-                        self.regs[rb + dst as usize] = Value::F64(r);
-                    }
-                    VecKind::VFma => {
-                        let acc = self.as_f64(rb + dst as usize, pc)?;
-                        let r = self
-                            .as_f64(rb + a as usize, pc)?
-                            .mul_add(self.as_f64(rb + b as usize, pc)?, acc);
-                        self.regs[rb + dst as usize] = Value::F64(r);
-                    }
-                    VecKind::VSad => {
-                        let acc = self.as_int(rb + dst as usize, pc)?;
-                        let av = self.as_int(rb + a as usize, pc)?;
-                        let bv = self.as_int(rb + b as usize, pc)?;
-                        self.regs[rb + dst as usize] =
-                            Value::Int(acc.wrapping_add(av.abs_diff(bv)));
-                    }
-                }
-                self.taints[rb + dst as usize] = 0;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Ase)
-                );
-                ip += 1;
-            }
-            Op::Cvt { dst, src, to_int } => {
-                if to_int {
-                    let v = self.as_f64(rb + src as usize, pc)?;
-                    self.regs[rb + dst as usize] = Value::Int(v as i64 as u64);
-                } else {
-                    let v = self.as_int(rb + src as usize, pc)?;
-                    self.regs[rb + dst as usize] = Value::F64(v as i64 as f64);
-                }
-                self.taints[rb + dst as usize] = 0;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Vfp)
-                );
-                ip += 1;
-            }
-            Op::LeaConst { dst, addr } => {
-                self.regs[rb + dst as usize] = Value::Int(addr);
-                self.taints[rb + dst as usize] = 0;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Dp)
-                );
-                ip += 1;
-            }
-            Op::MovNullPtr { dst } => {
-                self.regs[rb + dst as usize] = if self.cap_abi {
-                    Value::Cap(Capability::null())
-                } else {
-                    Value::Int(0)
-                };
-                self.taints[rb + dst as usize] = 0;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Dp)
-                );
-                ip += 1;
-            }
-            Op::PtrAdd { dst, base, off } => {
-                // Only reachable pre-lowering misuse; behaves as an
-                // integer add and (like the reference) skips taint.
-                let b = self.as_int(rb + base as usize, pc)?;
-                let o = self.operand_int(rb, off, pc)?;
-                self.regs[rb + dst as usize] = Value::Int(b.wrapping_add(o));
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Dp)
-                );
-                ip += 1;
-            }
-            Op::PtrToInt { dst, src } => {
-                let r = match self.regs[rb + src as usize] {
-                    Value::Int(i) => i,
-                    Value::Cap(c) => c.address(),
-                    Value::F64(_) => {
-                        return Err(InterpError::TypeConfusion {
-                            pc,
-                            expected: "pointer",
-                        })
-                    }
-                };
-                self.regs[rb + dst as usize] = Value::Int(r);
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::IntAlu,
-                    RetiredInfo::Simple(InstClass::Dp)
-                );
-                ip += 1;
-            }
-            Op::BadGeneric => {
-                return Err(InterpError::BadProgram {
-                    msg: "pointer-generic memory op survived lowering".into(),
-                });
-            }
-            Op::LoadCapTable { dst, addr, off } => {
-                let (cc, tag) = self
-                    .mem
-                    .load_cap(addr)
-                    .map_err(|err| InterpError::Mem { err, pc })?;
-                let mut cap = Capability::from_compressed(cc, tag);
-                if off != 0 {
-                    cap = cap.inc_address(off);
-                }
-                self.load_seq += 1;
-                let seq = self.load_seq;
-                self.regs[rb + dst as usize] = Value::Cap(cap);
-                self.taints[rb + dst as usize] = seq;
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::MemCap,
-                    RetiredInfo::Load {
-                        addr,
-                        size: 16,
-                        is_cap: true,
-                        dep_load: false,
-                    }
-                );
-                ip += 1;
-            }
-            Op::Load {
-                dst,
-                base,
-                off,
-                size,
-                kind,
-                bytes,
-            } => {
-                let (off_v, off_taint) = match off {
-                    Off::Imm(i) => (i, 0),
-                    Off::Reg(r) => (
-                        self.as_int(rb + r as usize, pc)? as i64,
-                        self.taints[rb + r as usize],
-                    ),
-                    Off::RegScaled(r) => (
-                        (self.as_int(rb + r as usize, pc)? as i64).wrapping_mul(bytes as i64),
-                        self.taints[rb + r as usize],
-                    ),
-                };
-                let (addr, auth) =
-                    self.resolve(rb, fi, base, off_v, bytes as u64, false, false, pc)?;
-                let base_taint = self.taints[rb + base as usize].max(off_taint);
-                let dep = self.dep_load(base_taint);
-                let v = match kind {
-                    LoadKind::Int => {
-                        let v = match size {
-                            MemSize::S1 => self.mem.read_u8(addr).map(u64::from),
-                            MemSize::S2 => self.mem.read_u16(addr).map(u64::from),
-                            MemSize::S4 => self.mem.read_u32(addr).map(u64::from),
-                            MemSize::S8 => self.mem.read_u64(addr),
-                        }
-                        .map_err(|err| InterpError::Mem { err, pc })?;
-                        Value::Int(v)
-                    }
-                    LoadKind::F64 => {
-                        let v = self
-                            .mem
-                            .read_u64(addr)
-                            .map_err(|err| InterpError::Mem { err, pc })?;
-                        Value::F64(f64::from_bits(v))
-                    }
-                    LoadKind::Cap => {
-                        let (cc, mut tag) = self
-                            .mem
-                            .load_cap(addr)
-                            .map_err(|err| InterpError::Mem { err, pc })?;
-                        // Loading through a capability without
-                        // LOAD_CAP strips the tag (Morello
-                        // semantics).
-                        if let Some(a) = auth {
-                            if !a.perms().contains(Perms::LOAD_CAP) {
-                                tag = false;
-                            }
-                        }
-                        Value::Cap(Capability::from_compressed(cc, tag))
-                    }
-                };
-                self.load_seq += 1;
-                let seq = self.load_seq;
-                self.regs[rb + dst as usize] = v;
-                self.taints[rb + dst as usize] = seq;
-                let is_cap = matches!(kind, LoadKind::Cap);
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    if is_cap {
-                        OpClass::MemCap
-                    } else {
-                        OpClass::MemScalar
-                    },
-                    RetiredInfo::Load {
-                        addr,
-                        size: bytes,
-                        is_cap,
-                        dep_load: dep,
-                    }
-                );
-                ip += 1;
-            }
-            Op::Store {
-                src,
-                base,
-                off,
-                size,
-                kind,
-                bytes,
-            } => {
-                let off_v = match off {
-                    Off::Imm(i) => i,
-                    Off::Reg(r) => self.as_int(rb + r as usize, pc)? as i64,
-                    Off::RegScaled(r) => {
-                        (self.as_int(rb + r as usize, pc)? as i64).wrapping_mul(bytes as i64)
-                    }
-                };
-                let is_cap = matches!(kind, LoadKind::Cap);
-                let (addr, _auth) =
-                    self.resolve(rb, fi, base, off_v, bytes as u64, true, is_cap, pc)?;
-                match kind {
-                    LoadKind::Int => {
-                        let v = self.as_int(rb + src as usize, pc)?;
-                        match size {
-                            MemSize::S1 => self.mem.write_u8(addr, v as u8),
-                            MemSize::S2 => self.mem.write_u16(addr, v as u16),
-                            MemSize::S4 => self.mem.write_u32(addr, v as u32),
-                            MemSize::S8 => self.mem.write_u64(addr, v),
-                        }
-                        .map_err(|err| InterpError::Mem { err, pc })?;
-                    }
-                    LoadKind::F64 => {
-                        let v = self.as_f64(rb + src as usize, pc)?;
-                        self.mem
-                            .write_u64(addr, v.to_bits())
-                            .map_err(|err| InterpError::Mem { err, pc })?;
-                    }
-                    LoadKind::Cap => {
-                        let c = self.as_cap(rb + src as usize, pc)?;
-                        self.mem
-                            .store_cap(addr, c.to_compressed(), c.tag())
-                            .map_err(|err| InterpError::Mem { err, pc })?;
-                    }
-                }
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    if is_cap {
-                        OpClass::MemCap
-                    } else {
-                        OpClass::MemScalar
-                    },
-                    RetiredInfo::Store {
-                        addr,
-                        size: bytes,
-                        is_cap,
-                    }
-                );
-                ip += 1;
-            }
-            Op::Jump { t_ip, t_pc } => {
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::Branch,
-                    RetiredInfo::Branch {
-                        kind: BranchKind::Immediate,
-                        taken: true,
-                        target: t_pc,
-                        pcc_change: false,
-                    }
-                );
-                ip = t_ip as usize;
-            }
-            Op::CondBr {
-                cond,
-                a,
-                b,
-                t_ip,
-                t_pc,
-            } => {
-                let av = self.as_int(rb + a as usize, pc)?;
-                let bv = self.operand_int(rb, b, pc)?;
-                let taken = cond.eval(av, bv);
-                femit!(
-                    self,
-                    sink,
-                    pc,
-                    OpClass::Branch,
-                    RetiredInfo::Branch {
-                        kind: BranchKind::Immediate,
-                        taken,
-                        target: t_pc,
-                        pcc_change: false,
-                    }
-                );
-                ip = if taken { t_ip as usize } else { ip + 1 };
-            }
+        match op {
             Op::Call {
                 callee,
                 args,
@@ -1299,7 +771,7 @@ impl<'p> FastMachine<'p> {
                 pcc_change,
             } => {
                 let target = dec.funcs[callee as usize].base_pc;
-                rb = self.enter_frame(
+                let rb = self.enter_frame(
                     sink,
                     callee,
                     Some((rb, args)),
@@ -1308,8 +780,7 @@ impl<'p> FastMachine<'p> {
                     Some((pc, BranchKind::Call, target, pcc_change)),
                     pc,
                 )?;
-                fi = callee as usize;
-                ip = 0;
+                Ok((callee as usize, 0, rb))
             }
             Op::CallIndirect { target, args, ret } => {
                 let taddr = match self.regs[rb + target as usize] {
@@ -1333,7 +804,7 @@ impl<'p> FastMachine<'p> {
                     .ok_or(InterpError::UnknownCode { addr: taddr, pc })?;
                 let pcc_change = self.pcc_branches
                     && dec.funcs[callee.0 as usize].module != dec.funcs[fi].module;
-                rb = self.enter_frame(
+                let rb = self.enter_frame(
                     sink,
                     callee.0,
                     Some((rb, args)),
@@ -1342,8 +813,7 @@ impl<'p> FastMachine<'p> {
                     Some((pc, BranchKind::IndirectCall, taddr, pcc_change)),
                     pc,
                 )?;
-                fi = callee.0 as usize;
-                ip = 0;
+                Ok((callee.0 as usize, 0, rb))
             }
             Op::Ret { val } => {
                 let v = val.map(|r| self.regs[rb + r as usize]);
@@ -1387,56 +857,51 @@ impl<'p> FastMachine<'p> {
                 }
                 self.sp = fr.saved_sp;
 
-                match self.frames.last() {
-                    Some(caller) => {
-                        let caller_fun = &dec.funcs[caller.func as usize];
-                        let ret_target = caller_fun.base_pc + u64::from(fr.ret_ip) * 4;
-                        let pcc_change = self.pcc_branches && caller_fun.module != fun.module;
-                        let caller_rb = caller.reg_base as usize;
-                        let caller_func = caller.func as usize;
-                        if let (Some(r), Some(v)) = (fr.ret_reg, v) {
-                            // Return values inherit "recently loaded"
-                            // status conservatively: cleared.
-                            self.regs[caller_rb + r as usize] = v;
-                            self.taints[caller_rb + r as usize] = 0;
-                        }
-                        femit!(
-                            self,
-                            sink,
-                            pc,
-                            if pcc_change {
-                                OpClass::CapBranch
-                            } else {
-                                OpClass::Branch
-                            },
-                            RetiredInfo::Branch {
-                                kind: BranchKind::Return,
-                                taken: true,
-                                target: ret_target,
-                                pcc_change,
-                            }
-                        );
-                        self.regs.truncate(fr.reg_base as usize);
-                        self.taints.truncate(fr.reg_base as usize);
-                        fi = caller_func;
-                        ip = fr.ret_ip as usize;
-                        rb = caller_rb;
-                    }
-                    None => {
-                        // Returning from the entry function ends the
-                        // program.
-                        let code = match v {
-                            Some(Value::Int(v)) => v,
-                            _ => 0,
-                        };
-                        self.exit = Some(code);
-                    }
+                let Some(caller) = self.frames.last() else {
+                    // Returning from the entry function ends the
+                    // program.
+                    let code = match v {
+                        Some(Value::Int(v)) => v,
+                        _ => 0,
+                    };
+                    self.exit = Some(code);
+                    return Ok((fi, ip, rb));
+                };
+                let caller_fun = &dec.funcs[caller.func as usize];
+                let ret_target = caller_fun.base_pc + u64::from(fr.ret_ip) * 4;
+                let pcc_change = self.pcc_branches && caller_fun.module != fun.module;
+                let caller_rb = caller.reg_base as usize;
+                let caller_func = caller.func as usize;
+                if let (Some(r), Some(v)) = (fr.ret_reg, v) {
+                    // Return values inherit "recently loaded" status
+                    // conservatively: cleared.
+                    self.regs[caller_rb + r as usize] = v;
+                    self.taints[caller_rb + r as usize] = 0;
                 }
+                femit!(
+                    self,
+                    sink,
+                    pc,
+                    if pcc_change {
+                        OpClass::CapBranch
+                    } else {
+                        OpClass::Branch
+                    },
+                    RetiredInfo::Branch {
+                        kind: BranchKind::Return,
+                        taken: true,
+                        target: ret_target,
+                        pcc_change,
+                    }
+                );
+                self.regs.truncate(fr.reg_base as usize);
+                self.taints.truncate(fr.reg_base as usize);
+                Ok((caller_func, fr.ret_ip as usize, caller_rb))
             }
             Op::Malloc { dst, size } => {
                 let sz = self.operand_int(rb, size, pc)?;
                 self.run_malloc(rb + dst as usize, sz, pc, sink)?;
-                ip += 1;
+                Ok((fi, ip + 1, rb))
             }
             Op::Free { ptr } => {
                 let addr = match self.regs[rb + ptr as usize] {
@@ -1450,72 +915,7 @@ impl<'p> FastMachine<'p> {
                     }
                 };
                 self.run_free(addr, pc, sink)?;
-                ip += 1;
-            }
-            Op::CapOp { op, dst, a, b } => {
-                let a_idx = rb + a as usize;
-                let a_taint = self.taints[a_idx];
-                let result: Value = match op {
-                    CapOpKind::IncOffset => {
-                        let c = self.as_cap(a_idx, pc)?;
-                        let d = self.operand_int(rb, b, pc)? as i64;
-                        Value::Cap(c.inc_address(d))
-                    }
-                    CapOpKind::SetAddr => {
-                        let c = self.as_cap(a_idx, pc)?;
-                        let addr = self.operand_int(rb, b, pc)?;
-                        Value::Cap(c.set_address(addr))
-                    }
-                    CapOpKind::SetBounds => {
-                        let c = self.as_cap(a_idx, pc)?;
-                        let len = self.operand_int(rb, b, pc)?;
-                        Value::Cap(
-                            c.set_bounds(c.address(), len)
-                                .map_err(|f| self.cap_fault(f, pc, fi))?,
-                        )
-                    }
-                    CapOpKind::SetBoundsExact => {
-                        let c = self.as_cap(a_idx, pc)?;
-                        let len = self.operand_int(rb, b, pc)?;
-                        Value::Cap(
-                            c.set_bounds_exact(c.address(), len)
-                                .map_err(|f| self.cap_fault(f, pc, fi))?,
-                        )
-                    }
-                    CapOpKind::GetAddr => Value::Int(self.as_cap(a_idx, pc)?.address()),
-                    CapOpKind::GetLen => Value::Int(self.as_cap(a_idx, pc)?.length()),
-                    CapOpKind::GetBase => Value::Int(self.as_cap(a_idx, pc)?.base()),
-                    CapOpKind::GetTag => Value::Int(u64::from(self.as_cap(a_idx, pc)?.tag())),
-                    CapOpKind::AndPerm => {
-                        let c = self.as_cap(a_idx, pc)?;
-                        let mask = Perms::from_bits_truncate(self.operand_int(rb, b, pc)? as u32);
-                        Value::Cap(c.and_perms(mask).map_err(|f| self.cap_fault(f, pc, fi))?)
-                    }
-                    CapOpKind::SealEntry => {
-                        let c = self.as_cap(a_idx, pc)?;
-                        Value::Cap(c.seal_sentry().map_err(|f| self.cap_fault(f, pc, fi))?)
-                    }
-                    CapOpKind::ClearTag => Value::Cap(self.as_cap(a_idx, pc)?.clear_tag()),
-                };
-                self.regs[rb + dst as usize] = result;
-                self.taints[rb + dst as usize] = a_taint;
-                femit!(self, sink, pc, OpClass::CapManip, RetiredInfo::CapManip);
-                ip += 1;
-            }
-            Op::CapOp2 { op, a, auth, dst } => {
-                let av = self.as_cap(rb + a as usize, pc)?;
-                let authv = self.as_cap(rb + auth as usize, pc)?;
-                let r = match op {
-                    CapOp2Kind::Seal => av.seal(&authv).map_err(|f| self.cap_fault(f, pc, fi))?,
-                    CapOp2Kind::Unseal => {
-                        av.unseal(&authv).map_err(|f| self.cap_fault(f, pc, fi))?
-                    }
-                };
-                let t = self.taints[rb + a as usize];
-                self.regs[rb + dst as usize] = Value::Cap(r);
-                self.taints[rb + dst as usize] = t;
-                femit!(self, sink, pc, OpClass::CapManip, RetiredInfo::CapManip);
-                ip += 1;
+                Ok((fi, ip + 1, rb))
             }
             Op::Halt { code } => {
                 let c = match code {
@@ -1530,18 +930,48 @@ impl<'p> FastMachine<'p> {
                     RetiredInfo::Simple(InstClass::Dp)
                 );
                 self.exit = Some(c);
+                Ok((fi, ip, rb))
             }
             // Profiling marker: no retired instruction, no cycles —
             // just tell the sink the attribution context changed.
             Op::Region { id } => {
                 sink.region(id);
-                ip += 1;
+                Ok((fi, ip + 1, rb))
             }
+            Op::BadGeneric => Err(InterpError::BadProgram {
+                msg: "pointer-generic memory op survived lowering".into(),
+            }),
+            Op::FellOff => Err(fell_off_end(&self.prog.funcs[fi].name)),
+            // Demoted by `pack`: the post-increment does not fit the
+            // packed `aux` field (so it is never 0).
+            Op::LoadCapTable { dst, addr, off } => {
+                let (cc, tag) = self
+                    .mem
+                    .load_cap(addr)
+                    .map_err(|err| InterpError::Mem { err, pc })?;
+                let cap = Capability::from_compressed(cc, tag).inc_address(off);
+                self.load_seq += 1;
+                self.regs[rb + dst as usize] = Value::Cap(cap);
+                self.taints[rb + dst as usize] = self.load_seq;
+                femit!(
+                    self,
+                    sink,
+                    pc,
+                    OpClass::MemCap,
+                    RetiredInfo::Load {
+                        addr,
+                        size: 16,
+                        is_cap: true,
+                        dep_load: false,
+                    }
+                );
+                Ok((fi, ip + 1, rb))
+            }
+            _ => unreachable!(
+                "op at pc {pc:#x} reached `step`, but decode packs it as a superblock \
+                 interior or the block loop runs it inline"
+            ),
         }
-        *fi_r = fi;
-        *ip_r = ip;
-        *rb_r = rb;
-        Ok(())
     }
 
     // ---- Runtime intrinsics (same synthetic streams as the reference) -----
@@ -1909,6 +1339,7 @@ impl<'p> FastMachine<'p> {
 
 // ---- Direct-threaded interior handlers -------------------------------------
 //
+// The fast engine's only implementation of the ops `pack` accepts.
 // One free function per micro-op kind (see `decoded::mk`), fully
 // specialised: no operand-form, size, or sub-op `match` survives inside
 // a handler — `eval_int_op`/`eval_float_op` are called with constant
@@ -1955,8 +1386,8 @@ fn ll_info(class: InstClass, ll: u8) -> RetiredInfo {
 }
 
 /// Expands to the `(offset value, offset taint)` pair for a memory
-/// handler's offset mode (`imm`/`reg`/`scl`), mirroring the `Off` match
-/// of the per-op engine.
+/// handler's offset mode (`imm`/`reg`/`scl`): immediate, register, or
+/// register scaled by the access width.
 macro_rules! off_val {
     ($m:ident, $o:ident, imm) => {
         ($o.imm as i64, 0u64)
@@ -2275,8 +1706,8 @@ fn h_mov_null<S: EventSink, const CAP: bool>(
     Ctl::Next
 }
 
-// `PtrAdd`/`PtrToInt` skip the taint write, exactly like the per-op
-// arms (pre-lowering misuse shims).
+// `PtrAdd`/`PtrToInt` skip the taint write, exactly like the reference
+// (pre-lowering misuse shims).
 fn h_ptr_add_rr<S: EventSink>(m: &mut FastMachine<'_>, sink: &mut S, o: &MicroOp) -> Ctl {
     let rb = m.rb;
     let b = get!(m, m.as_int(rb + o.a as usize, o.pc));
@@ -2471,7 +1902,7 @@ load_word_h!(h_ld_f64_reg, reg, word_as_f64);
 load_word_h!(h_ld_f64_scl, scl, word_as_f64);
 
 /// Defines one capability-load handler (Morello tag-strip on missing
-/// LOAD_CAP, like the per-op arm).
+/// LOAD_CAP, like the reference).
 macro_rules! load_cap_h {
     ($name:ident, $mode:tt) => {
         fn $name<S: EventSink, const CAP: bool>(

@@ -550,6 +550,14 @@ impl Interp {
     }
 }
 
+/// The error both engines return when control moves past the last op
+/// of function `func`.
+pub(crate) fn fell_off_end(func: &str) -> InterpError {
+    InterpError::BadProgram {
+        msg: format!("control fell off the end of `{func}`"),
+    }
+}
+
 pub(crate) fn eval_int_op(op: IntOp, a: u64, b: u64) -> u64 {
     match op {
         IntOp::Add => a.wrapping_add(b),

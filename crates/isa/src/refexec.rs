@@ -16,8 +16,8 @@ use crate::inst::{
     Operand, VecKind,
 };
 use crate::interp::{
-    eval_float_op, eval_int_op, EventSink, FaultInjector, InjectionKind, InterpConfig, InterpError,
-    RecoveryPolicy, RetiredEvent, RetiredInfo, RunResult, UNWIND_EXIT,
+    eval_float_op, eval_int_op, fell_off_end, EventSink, FaultInjector, InjectionKind,
+    InterpConfig, InterpError, RecoveryPolicy, RetiredEvent, RetiredInfo, RunResult, UNWIND_EXIT,
 };
 use crate::lower::{RT_FREE_PC, RT_MALLOC_PC, RT_SWEEP_PC, STACK_SIZE};
 use crate::program::{FuncId, Program, PtrInit, VReg};
@@ -726,10 +726,11 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
         // instruction borrows are independent of `self` mutations below.
         let prog: &'p Program = self.prog;
         let func = &prog.funcs[func_idx];
-        debug_assert!(ip < func.insts.len(), "fell off function `{}`", func.name);
+        let Some(inst) = func.insts.get(ip) else {
+            return Err(fell_off_end(&func.name));
+        };
         let func_id = FuncId(func_idx as u32);
         let pc = prog.pc_of(func_id, ip);
-        let inst = &func.insts[ip];
 
         match inst {
             Inst::MovImm { dst, imm } => {

@@ -14,12 +14,18 @@
 //! * every registry workload × every supported ABI at test scale
 //!   (22 workloads, 66 cells);
 //! * ≥1000 proptest-generated random programs (350 specs × 3 ABIs);
+//! * the superblock edge cases (`superblock_*`);
 //! * the error paths: fuel exhaustion, unrepresentable-bounds traps,
-//!   and sealed-entry violations.
+//!   sealed-entry violations, and control falling off a function.
+//!
+//! CI runs the whole harness in both debug and release builds: release
+//! drops the engines' `debug_assert`s, so only it shows what a user
+//! build does.
 
 use cheri_isa::{
-    lower, Abi, CapOpKind, Cond, EventSink, GlobalDef, Interp, InterpConfig, InterpError, MemSize,
-    OpClass, Program, ProgramBuilder, PtrInit, RetiredEvent, RunResult,
+    lower, Abi, CapOpKind, Cond, EventSink, FuncId, FunctionBuilder, GlobalDef, Interp,
+    InterpConfig, InterpError, MemSize, OpClass, Program, ProgramBuilder, PtrInit, RetiredEvent,
+    RunResult,
 };
 use cheri_workloads::{registry, Scale};
 use proptest::prelude::*;
@@ -269,11 +275,13 @@ proptest! {
 
 // ---- Superblock edge cases -------------------------------------------------
 //
-// Named with a `superblock_` prefix so CI can run exactly this group
-// under `--release` (`cargo test --release superblock_`): they pin the
+// Named with a `superblock_` prefix so the group can be run on its own
+// (`cargo test --test differential superblock_`): they pin the
 // partition-boundary behaviours of the direct-threaded engine — branch
 // targets splitting straight-line runs, the fuel cutoff landing inside
-// a block's interior, and a fault at a block's final interior op.
+// a block's interior, a fault at a block's final interior op, control
+// falling off a function's end, and the demoted wide-offset captable
+// load.
 
 /// A backward branch into the middle of what would otherwise be one
 /// straight-line run: the target must be a block leader, and chaining
@@ -308,50 +316,97 @@ fn superblock_branch_into_former_interior_is_identical() {
     }
 }
 
+/// The program shapes [`superblock_fuel_exhaustion_mid_block_is_identical`]
+/// sweeps. Each puts one long straight-line block of adds in `main`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum FuelShape {
+    /// The block alone.
+    Plain,
+    /// An out-of-bounds load in the middle of the block: under the
+    /// capability ABIs some budgets cut before the fault, some after.
+    FaultMidBlock,
+    /// A `malloc` right before the block: the runtime's events push
+    /// `retired` past the budget before the block's margin check, so
+    /// no interior op of the block may run.
+    MallocBefore,
+}
+
 /// Sweeps the fuel limit across every position of a long straight-line
 /// block so the cutoff lands before, inside (every interior offset),
-/// and after it. The fast engine's block-margin check must delegate to
-/// the per-op path and report the identical truncated stream and
-/// `FuelExhausted { retired }` as the reference.
+/// and after it. When fuel dies inside a block, the fast engine must
+/// run exactly the affordable prefix of the block and report the
+/// identical truncated stream and `FuelExhausted { retired }` (or the
+/// identical fault, when the fault comes first) as the reference.
 #[test]
 fn superblock_fuel_exhaustion_mid_block_is_identical() {
-    for abi in Abi::ALL {
-        let mut b = ProgramBuilder::new("fuelmid", abi);
-        let main = b.function("main", 0, |f| {
-            let acc = f.vreg();
-            f.mov_imm(acc, 1);
-            for k in 0..24 {
-                f.add(acc, acc, k + 1);
-            }
-            f.halt_code(acc);
-        });
-        b.set_entry(main);
-        let prog = b.lower();
-        let mut exhausted = 0;
-        for max in 1..40u64 {
-            let cfg = InterpConfig {
-                max_insts: max,
-                ..InterpConfig::default()
-            };
-            match diff_run(&prog, cfg, &format!("fuelmid/{abi}/max{max}")) {
-                Ok(_) => {}
-                Err(InterpError::FuelExhausted { retired }) => {
-                    // The entry prologue retires before the first fuel
-                    // check, so the cutoff count can exceed a tiny
-                    // budget; it can never undershoot it.
-                    assert!(
-                        retired >= max,
-                        "{abi}: cutoff {retired} undershoots budget {max}"
-                    );
-                    exhausted += 1;
+    for shape in [
+        FuelShape::Plain,
+        FuelShape::FaultMidBlock,
+        FuelShape::MallocBefore,
+    ] {
+        for abi in Abi::ALL {
+            let mut b = ProgramBuilder::new("fuelmid", abi);
+            let g = b.global_zero("small", 16);
+            let main = b.function("main", 0, |f| {
+                let acc = f.vreg();
+                let p = f.vreg();
+                if shape == FuelShape::MallocBefore {
+                    f.malloc(p, 16);
                 }
-                Err(other) => panic!("{abi}/max{max}: unexpected error {other:?}"),
+                f.mov_imm(acc, 1);
+                if shape == FuelShape::FaultMidBlock {
+                    f.lea_global(p, g, 0);
+                }
+                for k in 0..24 {
+                    f.add(acc, acc, k + 1);
+                    if k == 12 && shape == FuelShape::FaultMidBlock {
+                        // Offset 64 of a 16-byte global: a bounds fault
+                        // under the capability ABIs.
+                        f.load_int(acc, p, 64, MemSize::S8);
+                    }
+                }
+                f.halt_code(acc);
+            });
+            b.set_entry(main);
+            let prog = b.lower();
+            let (mut exhausted, mut faulted, mut overshot) = (0, 0, 0);
+            for max in 1..120u64 {
+                let cfg = InterpConfig {
+                    max_insts: max,
+                    ..InterpConfig::default()
+                };
+                let ctx = format!("fuelmid/{shape:?}/{abi}/max{max}");
+                match diff_run(&prog, cfg, &ctx) {
+                    Ok(_) => {}
+                    Err(InterpError::FuelExhausted { retired }) => {
+                        // The entry prologue and runtime bodies retire
+                        // between fuel checks, so the cutoff count can
+                        // exceed the budget; it can never undershoot it.
+                        assert!(retired >= max, "{ctx}: cutoff {retired} undershoots");
+                        exhausted += 1;
+                        if retired > max + 10 {
+                            overshot += 1;
+                        }
+                    }
+                    Err(InterpError::Fault { .. }) if shape == FuelShape::FaultMidBlock => {
+                        faulted += 1;
+                    }
+                    Err(other) => panic!("{ctx}: unexpected error {other:?}"),
+                }
+            }
+            // A fault inside the block ends the run of cutoffs early.
+            let min_cutoffs = if faulted > 0 { 10 } else { 20 };
+            assert!(
+                exhausted > min_cutoffs,
+                "{shape:?}/{abi}: the sweep must cross the block interior ({exhausted} cutoffs)"
+            );
+            if shape == FuelShape::FaultMidBlock && abi.is_capability() {
+                assert!(faulted > 0, "{abi}: no budget reached the fault");
+            }
+            if shape == FuelShape::MallocBefore {
+                assert!(overshot > 0, "{abi}: no budget ran out inside malloc");
             }
         }
-        assert!(
-            exhausted > 20,
-            "{abi}: the sweep must cross the block interior ({exhausted} cutoffs)"
-        );
     }
 }
 
@@ -382,6 +437,119 @@ fn superblock_fault_at_block_last_op_is_identical() {
             assert_eq!(fault.kind, cheri_cap::FaultKind::BoundsViolation)
         }
         other => panic!("expected bounds fault, got {other:?}"),
+    }
+}
+
+/// Control that moves past a function's last op fails with the same
+/// `BadProgram` on both engines instead of panicking: a fallthrough
+/// block at the end, every terminator whose successor is the end, a
+/// jump to a label bound after the last op, and a callee that falls
+/// off (the error names the function).
+#[test]
+fn superblock_fall_off_function_end_is_identical() {
+    // `main`'s body, given a helper that returns and a leaf that falls
+    // off.
+    type MainBody = fn(&mut FunctionBuilder, FuncId, FuncId);
+    let shapes: [(&str, &str, MainBody); 8] = [
+        ("fallthrough", "main", |f, _, _| {
+            let v = f.vreg();
+            f.mov_imm(v, 7);
+        }),
+        ("condbr_not_taken", "main", |f, _, _| {
+            let v = f.vreg();
+            let top = f.here();
+            f.mov_imm(v, 0);
+            f.br(Cond::Ne, v, 0u64, top);
+        }),
+        ("jump_to_end", "main", |f, _, _| {
+            let end = f.label();
+            f.jump(end);
+            f.bind(end);
+        }),
+        ("call", "main", |f, helper, _| f.call(helper, &[], None)),
+        ("malloc", "main", |f, _, _| {
+            let p = f.vreg();
+            f.malloc(p, 32);
+        }),
+        ("free", "main", |f, _, _| {
+            let p = f.vreg();
+            f.malloc(p, 32);
+            f.free(p);
+        }),
+        ("region", "main", |f, _, _| f.region(0)),
+        ("callee", "leaf", |f, _, leaf| {
+            f.call(leaf, &[], None);
+            f.halt();
+        }),
+    ];
+    for (name, func, body) in shapes {
+        for abi in Abi::ALL {
+            let mut b = ProgramBuilder::new("falloff", abi);
+            b.region("r");
+            let helper = b.function("helper", 0, |f| f.ret(None));
+            let leaf = b.function("leaf", 0, |f| {
+                let v = f.vreg();
+                f.mov_imm(v, 3);
+            });
+            let main = b.function("main", 0, |f| body(f, helper, leaf));
+            b.set_entry(main);
+            let prog = b.lower();
+            let ctx = format!("falloff/{name}/{abi}");
+            let err = diff_run(&prog, InterpConfig::default(), &ctx)
+                .expect_err("falling off a function must fail");
+            assert_eq!(
+                err,
+                InterpError::BadProgram {
+                    msg: format!("control fell off the end of `{func}`"),
+                },
+                "{ctx}"
+            );
+        }
+    }
+}
+
+/// A `lea_global` whose offset does not fit `i32` lowers, under the
+/// capability ABIs, to a captable load that decode cannot pack and
+/// demotes to a terminator. It must match the reference at every fuel
+/// cutoff across it, positive and negative offsets alike.
+#[test]
+fn superblock_wide_captable_offset_is_identical() {
+    for abi in Abi::ALL {
+        let mut b = ProgramBuilder::new("wide_ct", abi);
+        let g = b.global_zero("g", 64);
+        let main = b.function("main", 0, |f| {
+            let acc = f.vreg();
+            let p = f.vreg();
+            f.mov_imm(acc, 5);
+            f.lea_global(p, g, 1 << 33);
+            f.add(acc, acc, 1);
+            f.lea_global(p, g, -(1 << 33));
+            f.add(acc, acc, 2);
+            let a = f.vreg();
+            f.ptr_to_int(a, p);
+            f.eor(acc, acc, a);
+            f.halt_code(acc);
+        });
+        b.set_entry(main);
+        let prog = b.lower();
+        let stats = cheri_isa::superblock_stats(&prog);
+        let demoted = if abi.is_capability() { 2 } else { 0 };
+        assert_eq!(stats.terminators, 1 + demoted, "{abi}: {stats:?}");
+        let full = diff_run(&prog, InterpConfig::default(), &format!("wide_ct/{abi}"))
+            .expect("program completes");
+        // A budget of `full.retired` completes: the final halt passes
+        // its fuel check with one instruction to spare.
+        for max in 1..full.retired {
+            let cfg = InterpConfig {
+                max_insts: max,
+                ..InterpConfig::default()
+            };
+            let ctx = format!("wide_ct/{abi}/max{max}");
+            match diff_run(&prog, cfg, &ctx) {
+                Err(InterpError::FuelExhausted { retired }) => assert!(retired >= max, "{ctx}"),
+                other => panic!("{ctx}: expected fuel exhaustion, got {other:?}"),
+            }
+        }
     }
 }
 
