@@ -9,7 +9,7 @@
 //! plan against the same program yields a byte-identical journal — the
 //! property the campaign engine's `--jobs` invariance rests on.
 
-use crate::plan::{FaultKind, FaultPlan, Trigger};
+use crate::plan::{FaultKind, FaultPlan, Trigger, TriggerSite};
 use cheri_isa::{FaultInjector, InjectionKind, RecoveryPolicy};
 use serde::{Deserialize, Serialize};
 
@@ -33,25 +33,61 @@ pub struct InjectionRecord {
 }
 
 /// Armed triggers plus the journal and counters of one run.
+///
+/// Polls never scan the whole plan: triggers are indexed by the hook
+/// that can fire them (fetch polls see only `PccCorrupt` triggers, data
+/// polls only the rest), each index in plan order so the first armed
+/// match — and therefore the journal — is the one a linear scan of the
+/// plan would pick. While no `PcRange`/`AddrRange` trigger is armed, a
+/// poll below the smallest armed `AtRetired` count rejects in O(1).
 #[derive(Clone, Debug)]
 pub struct FaultSession {
     policy: RecoveryPolicy,
     triggers: Vec<Trigger>,
     armed: Vec<bool>,
     live: usize,
+    /// `PccCorrupt` trigger indices, in plan order.
+    pcc: Vec<usize>,
+    /// Every other trigger index, in plan order.
+    mem: Vec<usize>,
+    /// `AtRetired` trigger indices sorted by count (ties in plan order).
+    due: Vec<usize>,
+    /// First still-armed entry of `due`; advanced in `fire`.
+    due_next: usize,
+    /// Armed `PcRange`/`AddrRange` triggers.
+    ranges_armed: usize,
     journal: Vec<InjectionRecord>,
     trapped: u64,
     unwinds: u64,
 }
 
+fn at_retired(t: &Trigger) -> Option<u64> {
+    match t.site {
+        TriggerSite::AtRetired(n) => Some(n),
+        TriggerSite::PcRange { .. } | TriggerSite::AddrRange { .. } => None,
+    }
+}
+
 impl FaultSession {
     /// Arms every trigger of the plan.
     pub fn new(plan: &FaultPlan) -> FaultSession {
+        let triggers = plan.triggers.clone();
+        let (pcc, mem): (Vec<usize>, Vec<usize>) =
+            (0..triggers.len()).partition(|&i| triggers[i].kind == FaultKind::PccCorrupt);
+        let mut due: Vec<usize> = (0..triggers.len())
+            .filter(|&i| at_retired(&triggers[i]).is_some())
+            .collect();
+        due.sort_by_key(|&i| at_retired(&triggers[i]));
         FaultSession {
             policy: plan.policy,
-            armed: vec![true; plan.triggers.len()],
-            live: plan.triggers.len(),
-            triggers: plan.triggers.clone(),
+            armed: vec![true; triggers.len()],
+            live: triggers.len(),
+            ranges_armed: triggers.len() - due.len(),
+            pcc,
+            mem,
+            due,
+            due_next: 0,
+            triggers,
             journal: Vec::new(),
             trapped: 0,
             unwinds: 0,
@@ -91,6 +127,12 @@ impl FaultSession {
     fn fire(&mut self, i: usize, retired: u64, pc: u64, address: u64, is_store: bool) {
         self.armed[i] = false;
         self.live -= 1;
+        if at_retired(&self.triggers[i]).is_none() {
+            self.ranges_armed -= 1;
+        }
+        while self.due_next < self.due.len() && !self.armed[self.due[self.due_next]] {
+            self.due_next += 1;
+        }
         self.journal.push(InjectionRecord {
             trigger: i,
             kind: self.triggers[i].kind,
@@ -107,12 +149,30 @@ impl FaultInjector for FaultSession {
         self.live > 0
     }
 
+    /// The smallest armed `AtRetired` count; 0 while a range trigger is
+    /// armed (it may match at any poll); `u64::MAX` once all fired.
+    fn quiet_until(&self) -> u64 {
+        if self.ranges_armed > 0 {
+            0
+        } else {
+            self.due
+                .get(self.due_next)
+                .and_then(|&i| at_retired(&self.triggers[i]))
+                .unwrap_or(u64::MAX)
+        }
+    }
+
     fn poll_pcc(&mut self, retired: u64, pc: u64) -> bool {
-        let hit = self.triggers.iter().enumerate().find(|(i, t)| {
-            self.armed[*i] && t.kind == FaultKind::PccCorrupt && t.site.matches_pcc(retired, pc)
-        });
+        if retired < self.quiet_until() {
+            return false;
+        }
+        let hit = self
+            .pcc
+            .iter()
+            .copied()
+            .find(|&i| self.armed[i] && self.triggers[i].site.matches_pcc(retired, pc));
         match hit {
-            Some((i, _)) => {
+            Some(i) => {
                 self.fire(i, retired, pc, pc, false);
                 true
             }
@@ -127,17 +187,18 @@ impl FaultInjector for FaultSession {
         ea: u64,
         is_store: bool,
     ) -> Option<InjectionKind> {
-        let hit = self.triggers.iter().enumerate().find(|(i, t)| {
-            self.armed[*i] && t.kind != FaultKind::PccCorrupt && t.site.matches_mem(retired, pc, ea)
-        });
-        match hit {
-            Some((i, t)) => {
-                let kind = t.kind;
-                self.fire(i, retired, pc, ea, is_store);
-                Some(kind.to_injection())
-            }
-            None => None,
+        if retired < self.quiet_until() {
+            return None;
         }
+        let hit = self
+            .mem
+            .iter()
+            .copied()
+            .find(|&i| self.armed[i] && self.triggers[i].site.matches_mem(retired, pc, ea));
+        let i = hit?;
+        let kind = self.triggers[i].kind;
+        self.fire(i, retired, pc, ea, is_store);
+        Some(kind.to_injection())
     }
 
     fn trapped(&mut self, _pc: u64) {
@@ -156,7 +217,6 @@ impl FaultInjector for FaultSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::TriggerSite;
 
     fn plan(triggers: Vec<Trigger>) -> FaultPlan {
         FaultPlan {

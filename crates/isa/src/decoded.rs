@@ -615,7 +615,62 @@ pub(crate) mod mk {
     /// Offset-mode strides within a memory-kind triple.
     pub const OFF_REG: u8 = 1;
     pub const OFF_SCL: u8 = 2;
+    /// Last kinds of the capability load and store triples.
+    pub const LD_CAP_SCL: u8 = LD_CAP_IMM + OFF_SCL;
+    pub const ST_CAP_SCL: u8 = ST_CAP_IMM + OFF_SCL;
 }
+
+/// The event class every micro-op of `kind` retires with. Interior
+/// classes are payload-static (see [`pack`]), so the kind alone decides
+/// it; the engine's per-op accounting uses this for blocks that do not
+/// run whole (a trap or fuel death inside them).
+pub(crate) fn kind_class(kind: u8) -> OpClass {
+    match kind {
+        mk::LOAD_CT | mk::LD_CAP_IMM..=mk::LD_CAP_SCL | mk::ST_CAP_IMM..=mk::ST_CAP_SCL => {
+            OpClass::MemCap
+        }
+        mk::LD_U8_IMM..mk::LD_CAP_IMM | mk::ST_U8_IMM..mk::ST_CAP_IMM => OpClass::MemScalar,
+        mk::CINC_RR..=mk::CUNSEAL => OpClass::CapManip,
+        _ => OpClass::IntAlu,
+    }
+}
+
+/// Whether `kind` is a data load or store: the ops the data-access
+/// injection hook polls (the captable load is not one).
+pub(crate) fn is_data_access(kind: u8) -> bool {
+    (mk::LD_U8_IMM..=mk::ST_CAP_SCL).contains(&kind)
+}
+
+/// The offset mode of data-access kind `kind`: 0 (immediate),
+/// [`mk::OFF_REG`] or [`mk::OFF_SCL`].
+pub(crate) fn data_off_mode(kind: u8) -> u8 {
+    debug_assert!(is_data_access(kind), "kind {kind} is no load or store");
+    (kind - mk::LD_U8_IMM) % 3
+}
+
+// `data_off_mode` relies on the load and store triples sitting back to
+// back from `LD_U8_IMM`.
+const _: () = {
+    let bases = [
+        mk::LD_U8_IMM,
+        mk::LD_U16_IMM,
+        mk::LD_U32_IMM,
+        mk::LD_U64_IMM,
+        mk::LD_F64_IMM,
+        mk::LD_CAP_IMM,
+        mk::ST_U8_IMM,
+        mk::ST_U16_IMM,
+        mk::ST_U32_IMM,
+        mk::ST_U64_IMM,
+        mk::ST_F64_IMM,
+        mk::ST_CAP_IMM,
+    ];
+    let mut i = 0;
+    while i < bases.len() {
+        assert!(bases[i] == mk::LD_U8_IMM + 3 * i as u8);
+        i += 1;
+    }
+};
 
 /// Sentinel `term` for a block that falls through into the next leader
 /// without a terminator op (no control transfer happens at the seam, so
@@ -1001,6 +1056,7 @@ fn build_blocks(
         loop {
             match packed[ip] {
                 Some((mo, class)) => {
+                    debug_assert_eq!(kind_class(mo.kind), class, "kind_class disagrees with pack");
                     micros.push(mo);
                     classes.bump(class);
                     ip += 1;

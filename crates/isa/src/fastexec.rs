@@ -8,67 +8,69 @@
 //! retired count, `ClassCounts` accumulation, and (for sinks that opt
 //! in) the timing-core retire hop — happens once per block using the
 //! pre-summed [`Superblock`] totals. The handler table is the engine's
-//! only implementation of interior ops: when fuel would die inside a
-//! block, the loop runs just the affordable prefix of that block
-//! through the same table, so the exhaustion point is bit-exact.
-//! `Jump`/`CondBr` terminators run inline in the block loop; the other
-//! terminators (calls, returns, allocator intrinsics, halt, region
-//! markers, the reject sentinels) and the one op `pack` demotes — a
-//! captable load whose offset does not fit the packed form — run
-//! through [`FastMachine::step`]. Fault-injection polls never run here
-//! at all: an armed injector routes the whole run to the reference
-//! engine, so the `active()` checks are compiled out of the hot path
-//! entirely. Run state (registers, taints, frames, event scratch) lives
-//! in a [`RunArena`] recycled through a thread-local pool, so
-//! steady-state runs allocate nothing per run.
+//! only implementation of interior ops. `Jump`/`CondBr` terminators run
+//! inline in the block loop; the other terminators (calls, returns,
+//! allocator intrinsics, halt, region markers, the reject sentinels)
+//! and the one op `pack` demotes — a captable load whose offset does
+//! not fit the packed form — run through [`FastMachine::step`].
 //!
-//! Equivalence contract: for any program and sink, this engine produces
-//! the *same event stream* (order and payload), the same architectural
-//! result, and the same error as the reference executor
-//! ([`crate::refexec`]). The differential harness
-//! (`tests/differential.rs`) locks this across every workload×ABI cell,
-//! random programs, superblock edge cases, and the error paths;
+//! This engine runs every execution, plain or fault-injected. A block
+//! runs one op at a time, through the same table, when fuel would die
+//! inside it, or when a [`FaultInjector`] is active and its
+//! [`quiet_until`](FaultInjector::quiet_until) says a poll may fire in
+//! it: such a *due* block polls the injector before each fetch and
+//! each load or store, exactly where the reference does and with the
+//! same arguments, and accounts retired instructions per op. All other
+//! blocks skip the polls, which cannot fire there; for the inert
+//! [`NoInjector`](crate::NoInjector) the whole check compiles away. A
+//! capability fault goes to the same SIGPROT-analogue handler as in
+//! the reference, which applies the injector's [`RecoveryPolicy`]:
+//! skip resumes after the faulting op (the rest of its block runs per
+//! op), unwind resumes at the caller's return site. A trap the run
+//! survives allocates nothing. Run state (registers, taints, frames,
+//! event scratch) lives in a [`RunArena`] recycled through a
+//! thread-local pool, so steady-state runs allocate nothing per run.
+//!
+//! Equivalence contract: for any program, sink and injector, this
+//! engine produces the *same event stream* (order and payload), the
+//! same architectural result, the same error, and the same firing
+//! injector hook calls as the reference executor ([`crate::refexec`]).
+//! The differential harness (`tests/differential.rs`) locks this across
+//! every workload×ABI cell, random programs, superblock edge cases, the
+//! error paths, and armed injection under every recovery policy;
 //! `debug_assert`s in the emit paths additionally check every
 //! pre-computed class against [`OpClass::of`] in debug builds.
 
 use crate::classify::{ClassCounts, OpClass};
-use crate::decoded::{mk, ArgsRef, DecodedFunc, DecodedProgram, MicroOp, Op, NO_TERM};
+use crate::decoded::{
+    data_off_mode, is_data_access, kind_class, mk, ArgsRef, DecodedFunc, DecodedProgram, MicroOp,
+    Op, NO_TERM,
+};
 use crate::inst::{BranchKind, FloatOp, InstClass, IntOp, Operand};
 use crate::interp::{
     eval_float_op, eval_int_op, fell_off_end, EventSink, FaultInjector, InterpConfig, InterpError,
-    RecoveryPolicy, RetiredEvent, RetiredInfo, RunResult,
+    RecoveryPolicy, RetiredEvent, RetiredInfo, RunResult, UNWIND_EXIT,
 };
 use crate::lower::{RT_FREE_PC, RT_MALLOC_PC, RT_SWEEP_PC, STACK_SIZE};
 use crate::program::Program;
-use crate::refexec::{init_memory, Value, META_LINES, SAVE_AREA};
-use cheri_cap::{CapFault, Capability, Perms};
+use crate::refexec::{access_ea, corrupt_base, init_memory, Value, META_LINES, SAVE_AREA};
+use cheri_cap::{CapFault, Capability, FaultKind, Perms};
 use cheri_mem::{HeapAllocator, TaggedMemory};
 use cheri_revoke::{RevokingHeap, StrategyKind, SweepOutcome};
 use std::cell::{Cell, RefCell};
 
-/// Runs `prog` to completion on the fast engine. The caller guarantees
-/// the injector is inert (`!active()` under `Abort`); the only hook an
-/// inert injector can still observe is `trapped` on an organic fault,
-/// which is replayed here exactly as the reference handler does.
+/// Runs `prog` to completion on the fast engine under injector `inj`
+/// (the inert [`NoInjector`](crate::NoInjector) for plain runs).
 pub(crate) fn run<S: EventSink, I: FaultInjector>(
     prog: &Program,
     cfg: InterpConfig,
     sink: &mut S,
     mut inj: I,
 ) -> Result<RunResult, InterpError> {
-    debug_assert!(
-        !inj.active() && inj.policy() == RecoveryPolicy::Abort,
-        "fast engine selected with an armed injector"
-    );
     let dec = DecodedProgram::decode(prog);
     let mut m = FastMachine::new(prog, &dec, cfg);
-    let r = init_memory(prog, &mut m.mem).and_then(|()| m.exec(sink));
+    let r = init_memory(prog, &mut m.mem).and_then(|()| m.exec(sink, &mut inj));
     m.recycle();
-    if let Err(InterpError::Fault { pc, .. }) = &r {
-        // The reference SIGPROT-analogue handler journals every trap
-        // before aborting; keep that observable for inert injectors.
-        inj.trapped(*pc);
-    }
     r
 }
 
@@ -201,7 +203,7 @@ struct FastMachine<'p> {
     /// can reach it.
     rb: usize,
     /// Index of the executing function, synced like `rb` — only needed
-    /// for fault messages.
+    /// to name the function of a fault that ends the run.
     fi: usize,
     /// Error parked by a dying handler; the block loop takes it.
     err: Option<InterpError>,
@@ -213,6 +215,19 @@ struct FastMachine<'p> {
     /// per block instead of eight class adds; run end folds
     /// `count × blk.classes` into [`FastMachine::classes`].
     block_execs: Vec<u64>,
+}
+
+/// A capability fault at `pc`, with the function name left empty:
+/// every fault reaches [`FastMachine::trap`], which names the function
+/// only when the fault ends the run, so a trap the run survives
+/// allocates nothing.
+#[inline]
+fn cap_fault(fault: CapFault, pc: u64) -> InterpError {
+    InterpError::Fault {
+        fault,
+        pc,
+        func: String::new(),
+    }
 }
 
 /// Emits one retired event with its pre-computed class: bumps the
@@ -340,15 +355,6 @@ impl<'p> FastMachine<'p> {
         }
     }
 
-    #[inline]
-    fn cap_fault(&self, fault: CapFault, pc: u64, fi: usize) -> InterpError {
-        InterpError::Fault {
-            fault,
-            pc,
-            func: self.prog.funcs[fi].name.clone(),
-        }
-    }
-
     /// Resolves a memory operand to (effective address, authorising
     /// cap) for the memory handlers. Specialised on the ABI at compile
     /// time, so the `cap_abi` test disappears; the frame base and
@@ -372,7 +378,7 @@ impl<'p> FastMachine<'p> {
                 req = req | Perms::STORE_CAP;
             }
             c.check_access(addr, size, req)
-                .map_err(|fault| self.cap_fault(fault, pc, self.fi))?;
+                .map_err(|fault| cap_fault(fault, pc))?;
             Ok((addr, Some(c)))
         } else {
             let b = self.as_int(self.rb + base as usize, pc)?;
@@ -536,7 +542,11 @@ impl<'p> FastMachine<'p> {
 
     // ---- The dispatch loop ------------------------------------------------
 
-    fn exec<S: EventSink>(&mut self, sink: &mut S) -> Result<RunResult, InterpError> {
+    fn exec<S: EventSink, I: FaultInjector>(
+        &mut self,
+        sink: &mut S,
+        inj: &mut I,
+    ) -> Result<RunResult, InterpError> {
         let prog = self.prog;
         let dec = self.dec;
         let entry = prog.entry.0;
@@ -550,7 +560,7 @@ impl<'p> FastMachine<'p> {
         }
         // The entry frame: no call-site branch event, return address 0.
         self.enter_frame(sink, entry, None, None, 0, None, 0)?;
-        self.exec_blocks(sink, entry as usize)?;
+        self.exec_blocks(sink, inj, entry as usize)?;
         // Fold the deferred per-block execution counts into the class
         // totals. Addition is commutative, so the fold is
         // order-insensitive and exactly matches per-op accumulation;
@@ -579,32 +589,50 @@ impl<'p> FastMachine<'p> {
     ///
     /// Invariant (established by [`crate::decoded::build_blocks`] and
     /// every control transfer below and in [`FastMachine::step`]): `ip`
-    /// is always a block leader. Each iteration runs one block: a
-    /// single up-front fuel-margin check covers every interior op
-    /// (exactly the per-op checks of the reference — `retired + n <=
-    /// max` iff all `n` per-op checks pass), then the interiors
-    /// dispatch through the per-ABI fn-pointer table with no
+    /// is always a block leader. Each iteration runs one block. In the
+    /// common case a single up-front fuel-margin check covers every
+    /// interior op (exactly the per-op checks of the reference —
+    /// `retired + n <= max` iff all `n` per-op checks pass), the
+    /// interiors dispatch through the per-ABI fn-pointer table with no
     /// discriminant match and no per-op bookkeeping, then `retired`
     /// absorbs the block's op count, the block's execution counter
-    /// bumps (its pre-summed classes fold in at run end), buffered
-    /// events flush, and finally the terminator (if any) runs under the
+    /// bumps (its pre-summed classes fold in at run end), and buffered
+    /// events flush. Finally the terminator (if any) runs under the
     /// reference's own fuel check — `Jump`/`CondBr` inline here, every
     /// other terminator through [`FastMachine::step`].
     ///
-    /// If the margin check fails, fuel dies inside the block: only the
-    /// first `max - retired` interiors run, through the same table.
-    /// Each interior retires exactly one event, so that prefix is
-    /// exactly what the reference retires before its cutoff, and the
-    /// run ends with `FuelExhausted` (a failed run reports no class
-    /// counts, so the block's execution counter is left alone).
-    fn exec_blocks<S: EventSink>(&mut self, sink: &mut S, entry: usize) -> Result<(), InterpError> {
+    /// Two cases run the interiors one op at a time instead
+    /// ([`FastMachine::run_per_op`]), through the same table: fuel that
+    /// dies inside the block, and a block in which an injector poll may
+    /// fire — the injector is active and its
+    /// [`quiet_until`](FaultInjector::quiet_until) is at most the
+    /// retired count the block's last poll (its terminator's) would
+    /// see. Such a *due* block polls the injector exactly where the
+    /// reference does, with the same arguments; every other block skips
+    /// the polls, which by that contract cannot fire. For the inert
+    /// injector `active()` is constant `false`, so all of this
+    /// compiles away.
+    ///
+    /// Every capability fault, in any block, goes to the trap handler
+    /// ([`FastMachine::trap`]). Under skip recovery a faulting interior
+    /// retires nothing and the rest of its block runs per op; a
+    /// skipped terminator resumes at the next leader. Under unwind
+    /// recovery the frame is dropped and control resumes at the
+    /// caller's return site, itself a leader.
+    fn exec_blocks<S: EventSink, I: FaultInjector>(
+        &mut self,
+        sink: &mut S,
+        inj: &mut I,
+        entry: usize,
+    ) -> Result<(), InterpError> {
         let dec = self.dec;
         let table = handler_table::<S>(self.cap_abi);
         let max = self.cfg.max_insts;
         // `fun`/`bidx` chain block-to-block without touching
         // `block_idx`: fallthrough and not-taken paths are the next
         // block in start-ip order, taken branches use the pre-resolved
-        // `t_blk`, and only the `step` path re-derives them.
+        // `t_blk`, and only the `step` and recovery paths re-derive
+        // them.
         let mut fi = entry;
         let mut ip = 0usize;
         let mut rb = 0usize;
@@ -617,25 +645,33 @@ impl<'p> FastMachine<'p> {
                 "control transfer into a superblock interior"
             );
             let n = u64::from(blk.n);
+            let due = inj.active() && inj.quiet_until() <= self.retired.saturating_add(n);
             if n > 0 {
                 self.rb = rb;
                 self.fi = fi;
                 let micros = &fun.micros[blk.first as usize..(blk.first + blk.n) as usize];
-                if self.retired.saturating_add(n) > max {
-                    let r = max.saturating_sub(self.retired);
-                    self.run_micros(sink, &table, &micros[..r as usize])?;
-                    self.retired += r;
+                let ran = if due || self.retired.saturating_add(n) > max {
+                    self.run_per_op(sink, inj, &table, micros, due)?
+                } else if let Some(k) = self.run_micros(sink, &table, micros) {
+                    self.block_trap(sink, inj, &table, micros, k)?
+                } else {
+                    self.retired += n;
+                    // Deferred class accounting: one counter bump here,
+                    // the pre-summed per-block classes fold in at run
+                    // end.
+                    self.block_execs[fun.block_base as usize + bidx] += 1;
                     self.flush_events(sink);
-                    return Err(InterpError::FuelExhausted {
-                        retired: self.retired,
-                    });
+                    Ran::ToEnd
+                };
+                if let Ran::Unwound = ran {
+                    let Some(to) = self.unwind_frame() else {
+                        break;
+                    };
+                    (fi, ip, rb) = to;
+                    fun = &dec.funcs[fi];
+                    bidx = fun.block_idx[ip] as usize;
+                    continue;
                 }
-                self.run_micros(sink, &table, micros)?;
-                self.retired += n;
-                // Deferred class accounting: one counter bump here, the
-                // pre-summed per-block classes fold in at run end.
-                self.block_execs[fun.block_base as usize + bidx] += 1;
-                self.flush_events(sink);
             }
             if blk.term == NO_TERM {
                 // Fallthrough into the next block (its entry re-checks
@@ -650,6 +686,25 @@ impl<'p> FastMachine<'p> {
                 return Err(InterpError::FuelExhausted {
                     retired: self.retired,
                 });
+            }
+            if due {
+                match self.poll_terminator(inj, fun, fi, ip)? {
+                    Ran::ToEnd => {}
+                    Ran::Skipped => {
+                        ip += 1;
+                        bidx = fun.block_idx[ip] as usize;
+                        continue;
+                    }
+                    Ran::Unwound => {
+                        let Some(to) = self.unwind_frame() else {
+                            break;
+                        };
+                        (fi, ip, rb) = to;
+                        fun = &dec.funcs[fi];
+                        bidx = fun.block_idx[ip] as usize;
+                        continue;
+                    }
+                }
             }
             let pc = fun.base_pc + u64::from(blk.term) * 4;
             match fun.ops[ip] {
@@ -699,37 +754,292 @@ impl<'p> FastMachine<'p> {
                         bidx += 1;
                     }
                 }
-                op => {
-                    (fi, ip, rb) = self.step(sink, op, pc, fi, ip, rb)?;
-                    // On halt the loop exits without another block
-                    // lookup.
-                    if self.exit.is_none() {
-                        fun = &dec.funcs[fi];
-                        bidx = fun.block_idx[ip] as usize;
+                op => match self.step(sink, op, pc, fi, ip, rb) {
+                    Ok(next) => {
+                        (fi, ip, rb) = next;
+                        // On halt the loop exits without another block
+                        // lookup.
+                        if self.exit.is_none() {
+                            fun = &dec.funcs[fi];
+                            bidx = fun.block_idx[ip] as usize;
+                        }
                     }
-                }
+                    Err(InterpError::Fault { fault, pc, .. }) => {
+                        match self.trap(inj, fault, pc, fi)? {
+                            Recovery::Skip => {
+                                ip += 1;
+                                bidx = fun.block_idx[ip] as usize;
+                            }
+                            Recovery::Unwind => {
+                                let Some(to) = self.unwind_frame() else {
+                                    break;
+                                };
+                                (fi, ip, rb) = to;
+                                fun = &dec.funcs[fi];
+                                bidx = fun.block_idx[ip] as usize;
+                            }
+                        }
+                    }
+                    Err(e) => return Err(e),
+                },
             }
         }
         Ok(())
     }
 
-    /// Dispatches `micros` through the handler table. A dying handler
-    /// flushes the events retired before it and returns its parked
-    /// error.
+    /// Dispatches `micros` through the handler table. Returns the index
+    /// of the op whose handler died (its error is parked in
+    /// [`FastMachine::err`]), or `None` when every op ran.
     #[inline(always)]
     fn run_micros<S: EventSink>(
         &mut self,
         sink: &mut S,
         table: &[Handler<S>; 256],
         micros: &[MicroOp],
-    ) -> Result<(), InterpError> {
-        for mo in micros {
-            if let Ctl::Die = table[mo.kind as usize](self, sink, mo) {
+    ) -> Option<usize> {
+        micros
+            .iter()
+            .position(|mo| matches!(table[mo.kind as usize](self, sink, mo), Ctl::Die))
+    }
+
+    /// A handler died at interior `k` of a block that was running
+    /// whole: the `k` ops before it retired, so they are accounted one
+    /// by one (the block's execution counter stays untouched). A
+    /// capability fault then goes to the trap handler — under skip the
+    /// rest of the block runs per op — and any other error ends the
+    /// run.
+    #[inline(never)]
+    fn block_trap<S: EventSink, I: FaultInjector>(
+        &mut self,
+        sink: &mut S,
+        inj: &mut I,
+        table: &[Handler<S>; 256],
+        micros: &[MicroOp],
+        k: usize,
+    ) -> Result<Ran, InterpError> {
+        for mo in &micros[..k] {
+            self.classes.bump(kind_class(mo.kind));
+        }
+        self.retired += k as u64;
+        match self.handler_died(inj) {
+            // The block was not due and skipping only lowers `retired`,
+            // so the rest of it stays quiet: no polls.
+            Ok(Recovery::Skip) => self.run_per_op(sink, inj, table, &micros[k + 1..], false),
+            Ok(Recovery::Unwind) => {
                 self.flush_events(sink);
-                return Err(self.err.take().expect("handler died without an error"));
+                Ok(Ran::Unwound)
+            }
+            Err(e) => {
+                self.flush_events(sink);
+                Err(e)
             }
         }
-        Ok(())
+    }
+
+    /// Takes the error a dying handler parked: a capability fault goes
+    /// to the trap handler, anything else ends the run.
+    fn handler_died<I: FaultInjector>(&mut self, inj: &mut I) -> Result<Recovery, InterpError> {
+        match self.err.take().expect("handler died without an error") {
+            InterpError::Fault { fault, pc, .. } => self.trap(inj, fault, pc, self.fi),
+            e => Err(e),
+        }
+    }
+
+    /// Runs `micros` one op at a time, as the reference does: a fuel
+    /// check before each op, then [`FastMachine::run_one`].
+    #[inline(never)]
+    fn run_per_op<S: EventSink, I: FaultInjector>(
+        &mut self,
+        sink: &mut S,
+        inj: &mut I,
+        table: &[Handler<S>; 256],
+        micros: &[MicroOp],
+        due: bool,
+    ) -> Result<Ran, InterpError> {
+        let mut ran = Ok(Ran::ToEnd);
+        for mo in micros {
+            if self.retired >= self.cfg.max_insts {
+                ran = Err(InterpError::FuelExhausted {
+                    retired: self.retired,
+                });
+                break;
+            }
+            match self.run_one(sink, inj, table, mo, due) {
+                Ok(None | Some(Recovery::Skip)) => {}
+                Ok(Some(Recovery::Unwind)) => {
+                    ran = Ok(Ran::Unwound);
+                    break;
+                }
+                Err(e) => {
+                    ran = Err(e);
+                    break;
+                }
+            }
+        }
+        self.flush_events(sink);
+        ran
+    }
+
+    /// Runs interior `mo` on its own: when `due`, first the fetch poll
+    /// and, for a load or store, the data-access poll, each with the
+    /// exact retired count; then its handler, with per-op retired and
+    /// class accounting. `Ok(None)`: the op retired; `Ok(Some(_))`: a
+    /// trap at its fetch or in its handler was survived.
+    #[inline]
+    fn run_one<S: EventSink, I: FaultInjector>(
+        &mut self,
+        sink: &mut S,
+        inj: &mut I,
+        table: &[Handler<S>; 256],
+        mo: &MicroOp,
+        due: bool,
+    ) -> Result<Option<Recovery>, InterpError> {
+        if due {
+            if let Some(r) = self.poll_fetch(inj, mo.pc, self.fi)? {
+                return Ok(Some(r));
+            }
+            if is_data_access(mo.kind) && inj.active() {
+                self.poll_data(inj, mo);
+            }
+        }
+        if let Ctl::Die = table[mo.kind as usize](self, sink, mo) {
+            return self.handler_died(inj).map(Some);
+        }
+        self.retired += 1;
+        self.classes.bump(kind_class(mo.kind));
+        Ok(None)
+    }
+
+    /// The fetch poll of terminator `ip` of function `fi` in a due
+    /// block: [`Ran::ToEnd`] runs the terminator, [`Ran::Skipped`]
+    /// resumes at the next leader, [`Ran::Unwound`] at the caller.
+    /// Skipping the fell-off sentinel moves past the function's end,
+    /// where the reference keeps checking fuel and polling each next
+    /// fetch; the first that does not fire fails the run there.
+    #[inline(never)]
+    fn poll_terminator<I: FaultInjector>(
+        &self,
+        inj: &mut I,
+        fun: &DecodedFunc,
+        fi: usize,
+        ip: usize,
+    ) -> Result<Ran, InterpError> {
+        let sentinel = fun.ops.len() - 1;
+        let mut at = ip;
+        loop {
+            match self.poll_fetch(inj, fun.base_pc + at as u64 * 4, fi)? {
+                None if at == ip => return Ok(Ran::ToEnd),
+                None => return Err(fell_off_end(&self.prog.funcs[fi].name)),
+                Some(Recovery::Unwind) => return Ok(Ran::Unwound),
+                Some(Recovery::Skip) if at < sentinel => return Ok(Ran::Skipped),
+                Some(Recovery::Skip) => {
+                    at += 1;
+                    if self.retired >= self.cfg.max_insts {
+                        return Err(InterpError::FuelExhausted {
+                            retired: self.retired,
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// The reference's fetch-stage poll at `pc`. A fired PCC corruption
+    /// traps under the capability ABIs, which check the PCC at every
+    /// fetch; hybrid's raw PC is unchecked, so the corruption has no
+    /// effect and the same fetch is polled again, as the reference's
+    /// loop does. `None`: nothing fired that changes control.
+    #[inline]
+    fn poll_fetch<I: FaultInjector>(
+        &self,
+        inj: &mut I,
+        pc: u64,
+        fi: usize,
+    ) -> Result<Option<Recovery>, InterpError> {
+        while inj.active() && inj.poll_pcc(self.retired, pc) {
+            if self.cap_abi {
+                let fault = CapFault::op(FaultKind::TagViolation, pc);
+                return self.trap(inj, fault, pc, fi).map(Some);
+            }
+        }
+        Ok(None)
+    }
+
+    /// The data-access poll of load or store `mo`, made where the
+    /// reference makes it: once the offset has evaluated (a bad offset
+    /// register skips the poll and its handler then fails), with the
+    /// would-be effective address. A fired injection corrupts the base
+    /// register before the handler checks the access.
+    fn poll_data<I: FaultInjector>(&mut self, inj: &mut I, mo: &MicroOp) {
+        let mode = data_off_mode(mo.kind);
+        let off = if mode == 0 {
+            mo.imm as i64
+        } else {
+            let Ok(v) = self.as_int(self.rb + mo.b as usize, mo.pc) else {
+                return;
+            };
+            if mode == mk::OFF_SCL {
+                (v as i64).wrapping_mul(i64::from(mo.sz))
+            } else {
+                v as i64
+            }
+        };
+        let base = self.rb + mo.a as usize;
+        let Some(ea) = access_ea(self.regs[base], off) else {
+            return;
+        };
+        let is_store = mo.kind >= mk::ST_U8_IMM;
+        if let Some(kind) = inj.poll_mem(self.retired, mo.pc, ea, is_store) {
+            self.regs[base] = corrupt_base(self.regs[base], kind);
+        }
+    }
+
+    /// The SIGPROT-analogue handler, as in the reference: journals the
+    /// trap, then applies the injector's [`RecoveryPolicy`]. Only a
+    /// fault that ends the run (`Abort`) builds its error, naming
+    /// function `fi`.
+    fn trap<I: FaultInjector>(
+        &self,
+        inj: &mut I,
+        fault: CapFault,
+        pc: u64,
+        fi: usize,
+    ) -> Result<Recovery, InterpError> {
+        inj.trapped(pc);
+        match inj.policy() {
+            RecoveryPolicy::Abort => Err(InterpError::Fault {
+                fault,
+                pc,
+                func: self.prog.funcs[fi].name.clone(),
+            }),
+            RecoveryPolicy::SkipFaultingOp => Ok(Recovery::Skip),
+            RecoveryPolicy::UnwindToCheckpoint => {
+                inj.unwound(pc);
+                Ok(Recovery::Unwind)
+            }
+        }
+    }
+
+    /// The `longjmp` half of unwind recovery, as in the reference:
+    /// abandon the faulting frame, restore the caller's stack pointer,
+    /// zero its return register, and resume at the return site.
+    /// Returns the caller's `(fi, ip, rb)`, or `None` once the entry
+    /// frame itself unwinds (the run then exits with [`UNWIND_EXIT`]).
+    fn unwind_frame(&mut self) -> Option<(usize, usize, usize)> {
+        let fr = self.frames.pop().expect("no frame");
+        self.sp = fr.saved_sp;
+        self.regs.truncate(fr.reg_base as usize);
+        self.taints.truncate(fr.reg_base as usize);
+        let Some(caller) = self.frames.last() else {
+            self.exit = Some(UNWIND_EXIT);
+            return None;
+        };
+        let crb = caller.reg_base as usize;
+        if let Some(r) = fr.ret_reg {
+            self.regs[crb + r as usize] = Value::Int(0);
+            self.taints[crb + r as usize] = 0;
+        }
+        Some((caller.func as usize, fr.ret_ip as usize, crb))
     }
 
     /// Flushes block-buffered events to a batching sink. A no-op (and
@@ -786,8 +1096,7 @@ impl<'p> FastMachine<'p> {
                 let taddr = match self.regs[rb + target as usize] {
                     Value::Int(a) if !self.cap_abi => a,
                     Value::Cap(c) if self.cap_abi => {
-                        c.check_branch()
-                            .map_err(|fault| self.cap_fault(fault, pc, fi))?;
+                        c.check_branch().map_err(|fault| cap_fault(fault, pc))?;
                         c.address()
                     }
                     _ => {
@@ -1356,6 +1665,24 @@ impl<'p> FastMachine<'p> {
 enum Ctl {
     Next,
     Die,
+}
+
+/// How the trap handler lets a run go on after a capability fault.
+enum Recovery {
+    /// Resume after the faulting op.
+    Skip,
+    /// Drop the faulting frame and resume at its caller.
+    Unwind,
+}
+
+/// How a block's interiors, or a due terminator's fetch poll, ended.
+enum Ran {
+    /// Ran to the end: go on to the terminator (or run it).
+    ToEnd,
+    /// The trap handler skipped the terminator.
+    Skipped,
+    /// The trap handler unwound the frame.
+    Unwound,
 }
 
 /// A dispatch-table entry.
@@ -2117,18 +2444,17 @@ cap_rr_ri!(h_csetaddr_rr, h_csetaddr_ri, |m, o, c, v| Value::Cap(
 ));
 cap_rr_ri!(h_csetb_rr, h_csetb_ri, |m, o, c, v| Value::Cap(get!(
     m,
-    c.set_bounds(c.address(), v)
-        .map_err(|f| m.cap_fault(f, o.pc, m.fi))
+    c.set_bounds(c.address(), v).map_err(|f| cap_fault(f, o.pc))
 )));
 cap_rr_ri!(h_csetbe_rr, h_csetbe_ri, |m, o, c, v| Value::Cap(get!(
     m,
     c.set_bounds_exact(c.address(), v)
-        .map_err(|f| m.cap_fault(f, o.pc, m.fi))
+        .map_err(|f| cap_fault(f, o.pc))
 )));
 cap_rr_ri!(h_candp_rr, h_candp_ri, |m, o, c, v| Value::Cap(get!(
     m,
     c.and_perms(Perms::from_bits_truncate(v as u32))
-        .map_err(|f| m.cap_fault(f, o.pc, m.fi))
+        .map_err(|f| cap_fault(f, o.pc))
 )));
 
 /// Defines the handler for one single-operand capability op.
@@ -2153,7 +2479,7 @@ cap_un_h!(h_cgetbase, |m, o, c| Value::Int(c.base()));
 cap_un_h!(h_cgettag, |m, o, c| Value::Int(u64::from(c.tag())));
 cap_un_h!(h_cseale, |m, o, c| Value::Cap(get!(
     m,
-    c.seal_sentry().map_err(|f| m.cap_fault(f, o.pc, m.fi))
+    c.seal_sentry().map_err(|f| cap_fault(f, o.pc))
 )));
 cap_un_h!(h_ccleartag, |m, o, c| Value::Cap(c.clear_tag()));
 
@@ -2164,10 +2490,7 @@ macro_rules! cap2_h {
             let rb = m.rb;
             let av = get!(m, m.as_cap(rb + o.a as usize, o.pc));
             let authv = get!(m, m.as_cap(rb + o.b as usize, o.pc));
-            let r = get!(
-                m,
-                av.$method(&authv).map_err(|f| m.cap_fault(f, o.pc, m.fi))
-            );
+            let r = get!(m, av.$method(&authv).map_err(|f| cap_fault(f, o.pc)));
             let t = m.taints[rb + o.a as usize];
             m.regs[rb + o.dst as usize] = Value::Cap(r);
             m.taints[rb + o.dst as usize] = t;

@@ -237,12 +237,26 @@ pub enum InjectionKind {
 /// top of the fetch loop; all methods default to "inactive", and
 /// [`active`](FaultInjector::active) gates every poll so a [`NoInjector`]
 /// run compiles down to the original fault-free interpreter loop.
+/// [`quiet_until`](FaultInjector::quiet_until) lets the fast engine skip
+/// the polls of whole blocks in which no hook can fire.
 pub trait FaultInjector {
     /// Whether any trigger is still armed. `false` (the default) makes
     /// every other hook unreachable.
     #[inline]
     fn active(&self) -> bool {
         false
+    }
+
+    /// Contract: no poll fires while the retired-instruction count is
+    /// below this value, so an engine may skip every poll it would make
+    /// at a lower count. A poll that does not fire must have no other
+    /// effect on the injector. The default, 0, bounds nothing: every
+    /// poll happens, as on the reference engine. Injectors that know
+    /// their next firing point return it; `u64::MAX` means no poll can
+    /// ever fire.
+    #[inline]
+    fn quiet_until(&self) -> u64 {
+        0
     }
 
     /// Polled before each instruction fetch; returning `true` corrupts
@@ -292,12 +306,22 @@ pub trait FaultInjector {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoInjector;
 
-impl FaultInjector for NoInjector {}
+impl FaultInjector for NoInjector {
+    #[inline]
+    fn quiet_until(&self) -> u64 {
+        u64::MAX
+    }
+}
 
 impl<I: FaultInjector + ?Sized> FaultInjector for &mut I {
     #[inline]
     fn active(&self) -> bool {
         (**self).active()
+    }
+
+    #[inline]
+    fn quiet_until(&self) -> u64 {
+        (**self).quiet_until()
     }
 
     #[inline]
@@ -483,12 +507,13 @@ impl Interp {
 
     /// Executes the program to completion.
     ///
-    /// Runs on the pre-decoded fast engine ([`crate::fastexec`]): the
+    /// Runs on the pre-decoded fast engine (`fastexec`): the
     /// program is lowered once into a flat arena of decoded micro-ops
-    /// and dispatched without the per-instruction decode `match` or
-    /// fault-injection polls. The event stream, architectural state,
-    /// and every error are bit-identical to the reference executor
-    /// (locked by `tests/differential.rs`).
+    /// and dispatched without the per-instruction decode `match`. With
+    /// the inert [`NoInjector`] every fault-injection check compiles
+    /// away. The event stream, architectural state, and every error are
+    /// bit-identical to the reference executor (locked by
+    /// `tests/differential.rs`).
     ///
     /// # Errors
     ///
@@ -509,12 +534,13 @@ impl Interp {
     /// or are survived (skip / unwind). With an inactive injector this
     /// is bit-identical to [`run`](Interp::run).
     ///
-    /// Engine selection: an *inert* injector (`active() == false` under
-    /// [`RecoveryPolicy::Abort`]) cannot fire any hook mid-run, so the
-    /// pre-decoded fast engine applies; anything armed — or any
-    /// non-abort recovery policy — disarms the fast path and the run
-    /// falls back to the reference executor, whose loop polls the
-    /// injector before every fetch and memory access.
+    /// Runs on the fast engine. Blocks in which a poll may fire (see
+    /// [`FaultInjector::quiet_until`]) run one op at a time and poll
+    /// the injector before every fetch and data access, exactly as the
+    /// reference executor does; all other blocks run whole. The event
+    /// stream, result, error, and the injector's hook calls that fire
+    /// (with their arguments, in order) are identical to
+    /// [`run_reference_with_faults`](Interp::run_reference_with_faults).
     ///
     /// # Errors
     ///
@@ -526,11 +552,7 @@ impl Interp {
         sink: &mut S,
         inj: &mut I,
     ) -> Result<RunResult, InterpError> {
-        if !inj.active() && inj.policy() == RecoveryPolicy::Abort {
-            crate::fastexec::run(prog, self.cfg, sink, inj)
-        } else {
-            crate::refexec::run(prog, self.cfg, sink, inj)
-        }
+        crate::fastexec::run(prog, self.cfg, sink, inj)
     }
 
     /// Executes the program on the reference executor — the original
@@ -547,6 +569,22 @@ impl Interp {
         sink: &mut S,
     ) -> Result<RunResult, InterpError> {
         crate::refexec::run(prog, self.cfg, sink, &mut NoInjector)
+    }
+
+    /// [`run_with_faults`](Interp::run_with_faults) on the reference
+    /// executor, which polls the injector before every fetch and data
+    /// access: the oracle for the fast engine's armed runs.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_with_faults`](Interp::run_with_faults).
+    pub fn run_reference_with_faults<S: EventSink, I: FaultInjector>(
+        &self,
+        prog: &Program,
+        sink: &mut S,
+        inj: &mut I,
+    ) -> Result<RunResult, InterpError> {
+        crate::refexec::run(prog, self.cfg, sink, inj)
     }
 }
 

@@ -2,13 +2,13 @@
 //! interpreter, preserved verbatim as the semantic oracle for the
 //! pre-decoded fast engine ([`crate::fastexec`]).
 //!
-//! [`Interp::run_with_faults`](crate::Interp::run_with_faults) routes
-//! here whenever a fault injector is armed (or runs a non-abort
-//! recovery policy): this loop polls [`FaultInjector`] hooks before
-//! every fetch and memory access, and its SIGPROT-analogue handler
-//! implements skip/unwind recovery. The differential harness
-//! (`tests/differential.rs`) locks the two engines together —
-//! bit-identical event streams, architectural results, and errors.
+//! Reachable only through [`Interp::run_reference`](crate::Interp::run_reference)
+//! and [`Interp::run_reference_with_faults`](crate::Interp::run_reference_with_faults).
+//! This loop polls [`FaultInjector`] hooks before every fetch and memory
+//! access, and its SIGPROT-analogue handler implements skip/unwind
+//! recovery. The differential harness (`tests/differential.rs`) locks
+//! the two engines together — bit-identical event streams,
+//! architectural results, errors, and injector hook calls.
 
 use crate::classify::{ClassCounts, OpClass};
 use crate::inst::{
@@ -166,6 +166,51 @@ pub(crate) fn func_cap(prog: &Program, f: FuncId) -> Capability {
         .expect("function bounds representable")
         .seal_sentry()
         .expect("sentry seal")
+}
+
+/// The effective address of a data access through base value `v` at
+/// byte offset `off`: what the data-access injection hook is polled
+/// with. `None` for a float base: the type confusion surfaces in the
+/// access itself, and there is nothing to corrupt.
+pub(crate) fn access_ea(v: Value, off: i64) -> Option<u64> {
+    match v {
+        Value::Cap(c) => Some(c.address().wrapping_add(off as u64)),
+        Value::Int(b) => Some(b.wrapping_add(off as u64)),
+        Value::F64(_) => None,
+    }
+}
+
+/// Applies a fired memory-site injection to base value `v`. Under a
+/// capability ABI the capability's *metadata* is corrupted, so the very
+/// next check catches it deterministically; under hybrid the same
+/// trigger perturbs the raw pointer *value* — nothing checks it, and
+/// the access silently lands on the wrong memory. That asymmetry is the
+/// experiment.
+pub(crate) fn corrupt_base(v: Value, kind: InjectionKind) -> Value {
+    match v {
+        Value::Cap(c) => Value::Cap(match kind {
+            InjectionKind::TagClear | InjectionKind::PccCorrupt => c.clear_tag(),
+            InjectionKind::BoundsNudge { delta } => {
+                // Cursor past the top: the access faults on bounds, or
+                // on tag if the nudge already left the representable
+                // window.
+                let past = c.base().wrapping_add(c.length()).wrapping_add(delta);
+                c.set_address(past)
+            }
+            InjectionKind::PermDrop => c.and_perms(Perms::GLOBAL).unwrap_or_else(|_| c.clear_tag()),
+        }),
+        Value::Int(b) => {
+            // Hybrid analogue: the same corruption event lands as a
+            // raw-pointer perturbation of comparable magnitude.
+            let delta = match kind {
+                InjectionKind::TagClear | InjectionKind::PccCorrupt => 16,
+                InjectionKind::BoundsNudge { delta } => delta.max(1),
+                InjectionKind::PermDrop => 64,
+            };
+            Value::Int(b.wrapping_add(delta))
+        }
+        Value::F64(_) => v,
+    }
 }
 
 pub(crate) const SAVE_AREA: u64 = 32; // LR + FP save slots (generous for both ABIs)
@@ -350,51 +395,17 @@ impl<'p, I: FaultInjector> Machine<'p, I> {
         }
     }
 
-    /// Applies a pending memory-site injection to the base register.
-    /// Under a capability ABI the capability's *metadata* is corrupted,
-    /// so the very next check catches it deterministically; under
-    /// hybrid the same trigger perturbs the raw pointer *value* —
-    /// nothing checks it, and the access silently lands on the wrong
-    /// memory. That asymmetry is the experiment.
+    /// Applies a pending memory-site injection to the base register
+    /// (see [`corrupt_base`]).
     fn inject_mem(&mut self, base: VReg, off: i64, pc: u64, is_store: bool) {
-        let ea = match self.reg(base) {
-            Value::Cap(c) => c.address().wrapping_add(off as u64),
-            Value::Int(b) => b.wrapping_add(off as u64),
-            // Type confusion surfaces in `resolve`; nothing to corrupt.
-            Value::F64(_) => return,
+        let v = self.reg(base);
+        let Some(ea) = access_ea(v, off) else {
+            return;
         };
         let Some(kind) = self.inj.poll_mem(self.retired, pc, ea, is_store) else {
             return;
         };
-        match self.reg(base) {
-            Value::Cap(c) => {
-                let corrupted = match kind {
-                    InjectionKind::TagClear | InjectionKind::PccCorrupt => c.clear_tag(),
-                    InjectionKind::BoundsNudge { delta } => {
-                        // Cursor past the top: the access faults on
-                        // bounds, or on tag if the nudge already left
-                        // the representable window.
-                        let past = c.base().wrapping_add(c.length()).wrapping_add(delta);
-                        c.set_address(past)
-                    }
-                    InjectionKind::PermDrop => {
-                        c.and_perms(Perms::GLOBAL).unwrap_or_else(|_| c.clear_tag())
-                    }
-                };
-                self.set_reg(base, Value::Cap(corrupted));
-            }
-            Value::Int(b) => {
-                // Hybrid analogue: the same corruption event lands as a
-                // raw-pointer perturbation of comparable magnitude.
-                let delta = match kind {
-                    InjectionKind::TagClear | InjectionKind::PccCorrupt => 16,
-                    InjectionKind::BoundsNudge { delta } => delta.max(1),
-                    InjectionKind::PermDrop => 64,
-                };
-                self.set_reg(base, Value::Int(b.wrapping_add(delta)));
-            }
-            Value::F64(_) => {}
-        }
+        self.set_reg(base, corrupt_base(v, kind));
     }
 
     fn push_entry_frame<S: EventSink>(&mut self, sink: &mut S) -> Result<(), InterpError> {

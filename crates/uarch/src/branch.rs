@@ -109,7 +109,11 @@ impl ReturnStack {
 
     /// Pushes a return address at a call. Overflow discards the oldest
     /// entry (the hardware behaviour that makes deep recursion mispredict).
+    /// A depth-0 stack keeps nothing, so it never predicts a return.
     pub fn push(&mut self, ret: u64) {
+        if self.depth == 0 {
+            return;
+        }
         if self.stack.len() == self.depth {
             self.stack.remove(0);
         }
@@ -125,6 +129,19 @@ impl ReturnStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn zero_depth_return_stack_never_predicts() {
+        let mut ras = ReturnStack::new(0);
+        ras.push(0x1004);
+        ras.push(0x2008);
+        assert_eq!(ras.pop(), None);
+        let mut ras = ReturnStack::new(1);
+        ras.push(0x1004);
+        ras.push(0x2008);
+        assert_eq!(ras.pop(), Some(0x2008), "overflow keeps the newest");
+        assert_eq!(ras.pop(), None);
+    }
 
     #[test]
     fn gshare_learns_a_loop() {

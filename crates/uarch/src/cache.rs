@@ -293,8 +293,14 @@ impl Tlb {
     }
 
     /// Looks up the page of `addr`; fills on miss. Returns `true` on hit.
+    /// A 0-entry TLB holds nothing: every lookup misses and nothing is
+    /// filled.
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
+        if self.capacity == 0 {
+            self.stats.refills += 1;
+            return false;
+        }
         self.stamp += 1;
         let page = addr >> 12;
         if let Some(e) = self.entries.get_mut(self.last_hit) {
@@ -402,6 +408,16 @@ mod tests {
         assert!(!t.access(0x1000), "page 1 was evicted");
         assert_eq!(t.stats().accesses, 5);
         assert_eq!(t.stats().refills, 4);
+    }
+
+    #[test]
+    fn zero_entry_tlb_always_misses() {
+        let mut t = Tlb::new(0);
+        assert!(!t.access(0x1000));
+        assert!(!t.access(0x1000), "nothing was filled");
+        assert!(!t.access(0x1fff));
+        assert_eq!(t.stats().accesses, 3);
+        assert_eq!(t.stats().refills, 3);
     }
 }
 

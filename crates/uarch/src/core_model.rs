@@ -662,6 +662,58 @@ mod tests {
     }
 
     #[test]
+    fn zero_capacity_ras_and_tlbs_run() {
+        // A program with calls and returns, so the RAS is pushed and
+        // popped, and loads, so both first-level TLBs are looked up.
+        let with_calls = |b: &mut ProgramBuilder| {
+            let g = b.global_zero("arr", 4096);
+            let leaf = b.function("leaf", 1, |f| {
+                let r = f.vreg();
+                f.add(r, f.arg(0), 1i64);
+                f.ret(Some(r));
+            });
+            let main = b.function("main", 0, |f| {
+                let p = f.vreg();
+                f.lea_global(p, g, 0);
+                let n = f.vreg();
+                f.mov_imm(n, 64);
+                let sum = f.vreg();
+                f.mov_imm(sum, 0);
+                f.for_loop(0, n, 1, |f, i| {
+                    let off = f.vreg();
+                    f.lsl(off, i, 6);
+                    let v = f.vreg();
+                    f.load_int(v, p, off, MemSize::S8);
+                    f.add(sum, sum, v);
+                    f.call(leaf, &[sum], Some(sum));
+                });
+                f.halt_code(sum);
+            });
+            b.set_entry(main);
+        };
+        let base = run(Abi::Hybrid, UarchConfig::neoverse_n1_morello(), with_calls);
+        for (ras, itlb, dtlb) in [(0, 48, 48), (16, 0, 48), (16, 48, 0), (0, 0, 0)] {
+            let cfg = UarchConfig {
+                ras_entries: ras,
+                l1i_tlb_entries: itlb,
+                l1d_tlb_entries: dtlb,
+                ..UarchConfig::neoverse_n1_morello()
+            };
+            let s = run(Abi::Hybrid, cfg, with_calls);
+            assert_eq!(s.inst_retired, base.inst_retired);
+            if ras == 0 {
+                assert!(s.br_mis_pred_retired > base.br_mis_pred_retired);
+            }
+            if itlb == 0 {
+                assert_eq!(s.l1i_tlb_refill, s.l1i_tlb, "every fetch misses");
+            }
+            if dtlb == 0 {
+                assert_eq!(s.l1d_tlb_refill, s.l1d_tlb, "every access misses");
+            }
+        }
+    }
+
+    #[test]
     fn ipc_bounded_by_width() {
         let s = run(
             Abi::Hybrid,
